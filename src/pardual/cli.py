@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from .dualize import (
+    DEFAULT_SPACING,
     ConicMatrix,
     DegenerateCurveError,
     DegreeError,
@@ -38,6 +39,8 @@ from . import polyring
 DEFAULT_WINDOW = (-3.0, 3.0, -3.0, 3.0)
 DEFAULT_GRID = 256
 DEFAULT_SAMPLES = 100
+MAX_GRID = 2048
+MAX_SAMPLES = 10000
 PANEL_PX = 480
 PANEL_GAP_FRACTION = 0.08
 
@@ -51,6 +54,19 @@ def _window(text: str) -> tuple[float, float, float, float]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"window values must be floats: {exc}")
     return (xmin, xmax, ymin, ymax)
+
+
+def _capped_int(limit: int):
+    """argparse type for an integer option of at most limit."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{value} exceeds the cap of {limit}")
+        return value
+    return convert
 
 
 def _read_poly_text(arg: str) -> str:
@@ -186,13 +202,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Point-curve duals of planar algebraic curves in parallel coordinates.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub, samples_default=DEFAULT_SAMPLES):
+    options = {
+        "--window": dict(type=_window, default=DEFAULT_WINDOW, metavar="XMIN,XMAX,YMIN,YMAX"),
+        "--grid": dict(type=_capped_int(MAX_GRID), default=DEFAULT_GRID),
+        "--samples": dict(type=_capped_int(MAX_SAMPLES), default=DEFAULT_SAMPLES),
+        "--spacing": dict(type=float, default=DEFAULT_SPACING),
+        "--out": dict(default=None),
+    }
+
+    def add_curve_command(name, help, func, *flags):
+        # each command declares exactly the options its handler reads
+        sub = commands.add_parser(name, help=help)
         sub.add_argument("poly", help="polynomial text, or - for stdin")
-        sub.add_argument("--window", type=_window, default=DEFAULT_WINDOW,
-                         metavar="XMIN,XMAX,YMIN,YMAX")
-        sub.add_argument("--grid", type=int, default=DEFAULT_GRID)
-        sub.add_argument("--samples", type=int, default=samples_default)
-        sub.add_argument("--spacing", type=float, default=1.0)
+        for flag in ("--window", *flags):
+            sub.add_argument(flag, **options[flag])
+        sub.set_defaults(func=func)
 
     sub = commands.add_parser("dual", help="print the dual polynomial")
     sub.add_argument("poly", help="polynomial text, or - for stdin")
@@ -203,19 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="A1 A2 A3 A4 A5 A6 as rationals (prefix with -- if negative)")
     sub.set_defaults(func=cmd_conic_dual)
 
-    sub = commands.add_parser("verify", help="numeric duality verification")
-    add_common(sub)
-    sub.set_defaults(func=cmd_verify)
-
-    sub = commands.add_parser("plot", help="two-panel SVG of source and dual")
-    add_common(sub)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_plot)
-
-    sub = commands.add_parser("plot-envelope", help="tangent-line envelope SVG")
-    add_common(sub)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=cmd_plot_envelope)
+    add_curve_command("verify", "numeric duality verification", cmd_verify, "--samples")
+    add_curve_command("plot", "two-panel SVG of source and dual", cmd_plot, "--grid", "--out")
+    add_curve_command("plot-envelope", "tangent-line envelope SVG", cmd_plot_envelope,
+                      "--samples", "--spacing", "--out")
 
     sub = commands.add_parser("eval", help="exact evaluation at a rational point")
     sub.add_argument("poly", help="polynomial text, or - for stdin")

@@ -4,9 +4,8 @@ polynomials in the gradient directions (eta, xi, psi).
 The matrix layout matches the classical display: for forms F of degree n
 and G of degree m there are m shifted rows of F's coefficients followed by
 n shifted rows of G's, each row running from the x1^deg coefficient down
-to the x2^deg one.  Determinants are taken exactly, by cofactor expansion
-for sizes up to 3 and fraction-free Bareiss elimination above that; the
-two agree on every input.
+to the x2^deg one.  Determinants are taken exactly by fraction-free
+Bareiss elimination at every size.
 """
 
 from __future__ import annotations
@@ -49,18 +48,6 @@ class BinaryForm:
                 raise ValueError(f"form coefficients may only use eta, xi, psi (found {names})")
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Square matrix of polynomials over the (eta, xi, psi)-ring."""
-
-    size: int
-    entries: tuple[tuple[Polynomial, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.size or any(len(row) != self.size for row in self.entries):
-            raise ValueError("matrix entries must be square")
-
-
 def as_binary_form(p: Polynomial) -> BinaryForm:
     """Read p as a binary form in (x1, x2) with (eta, xi, psi) coefficients."""
     if not p:
@@ -84,7 +71,10 @@ def as_binary_form(p: Polynomial) -> BinaryForm:
     return BinaryForm(degree, coeffs)
 
 
-def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
+Matrix = tuple[tuple[Polynomial, ...], ...]
+
+
+def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> Matrix:
     """(n+m) x (n+m) Sylvester matrix, F rows first, descending powers."""
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
@@ -98,30 +88,13 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> PolyMatrix:
     for s in range(n):
         for j in range(m + 1):
             rows[m + s][s + j] = g.coeffs[m - j]
-    return PolyMatrix(size, tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
-def _det_cofactor(rows: list[list[Polynomial]]) -> Polynomial:
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Polynomial()
-    sign = 1
-    for col in range(size):
-        entry = rows[0][col]
-        if entry:
-            minor = [[row[c] for c in range(size) if c != col] for row in rows[1:]]
-            term = entry * _det_cofactor(minor)
-            total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
-
-
-def _det_bareiss(rows: list[list[Polynomial]]) -> Polynomial:
-    # Fraction-free elimination: every interior division is exact in the
-    # ring.  Pivot by swapping in the first structurally nonzero row.
+def determinant(matrix: Matrix) -> Polynomial:
+    """Fraction-free Bareiss elimination: every interior division is exact
+    in the ring.  Pivot by swapping in the first structurally nonzero row."""
+    rows = [list(row) for row in matrix]
     size = len(rows)
     sign = 1
     previous = Polynomial.constant(1)
@@ -142,13 +115,6 @@ def _det_bareiss(rows: list[list[Polynomial]]) -> Polynomial:
         previous = pivot
     det = rows[size - 1][size - 1]
     return -det if sign < 0 else det
-
-
-def determinant(matrix: PolyMatrix) -> Polynomial:
-    rows = [list(row) for row in matrix.entries]
-    if matrix.size <= 3:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:

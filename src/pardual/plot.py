@@ -1,10 +1,10 @@
 """Deterministic SVG rendering of curves, duals and tangent-line envelopes.
 
 Implicit curves are traced with marching squares (center-sampled saddle
-disambiguation); scenes are ordered layers of segments, points and
-polylines with abstract style tokens; render_svg emits byte-stable
-SVG 1.1 with the y-axis flipped to mathematical orientation and all
-coordinates printed to three decimals.
+disambiguation); scenes are ordered layers of segments with abstract
+style tokens; render_svg emits byte-stable SVG 1.1 with the y-axis
+flipped to mathematical orientation and all coordinates printed to three
+decimals.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ class Viewport:
 
 @dataclass
 class _Layer:
-    kind: str  # "segments" | "points" | "polylines"
-    data: list
+    data: list[Segment]
     style: str
 
 
@@ -50,24 +49,12 @@ class PlaneScene:
     viewport: Viewport
     layers: list[_Layer] = field(default_factory=list)
 
-    def _check_finite(self, points) -> None:
-        for px, py in points:
-            if not (math.isfinite(px) and math.isfinite(py)):
-                raise ValueError("scene coordinates must be finite")
-
     def add_segments(self, segments: list[Segment], style: str = "thin") -> None:
-        for a, b in segments:
-            self._check_finite((a, b))
-        self.layers.append(_Layer("segments", list(segments), style))
-
-    def add_points(self, points: list[Point], style: str = "points") -> None:
-        self._check_finite(points)
-        self.layers.append(_Layer("points", list(points), style))
-
-    def add_polylines(self, polylines: list[list[Point]], style: str = "thin") -> None:
-        for polyline in polylines:
-            self._check_finite(polyline)
-        self.layers.append(_Layer("polylines", [list(p) for p in polylines], style))
+        for segment in segments:
+            for px, py in segment:
+                if not (math.isfinite(px) and math.isfinite(py)):
+                    raise ValueError("scene coordinates must be finite")
+        self.layers.append(_Layer(list(segments), style))
 
 
 def _axes_pair(p: Polynomial) -> tuple[int, int]:
@@ -172,6 +159,8 @@ def envelope_scene(curve: ImplicitCurve, sample_count: int, vp: Viewport,
     together the lines envelope the dual curve."""
     if sample_count < 2:
         raise ValueError("sample_count must be at least 2")
+    if not 0 < spacing < math.inf:
+        raise ValueError("axis spacing must be positive and finite")
     samples = sample_curve(curve, vp.window(), sample_count)
     segments = []
     for x1v, x2v in samples.points:
@@ -183,6 +172,8 @@ def envelope_scene(curve: ImplicitCurve, sample_count: int, vp: Viewport,
     return scene
 
 
+# Every SVG embeds this sheet, the goldens included, so it keeps the
+# .points class that no layer uses any more: its bytes must not change.
 _STYLESHEET = (
     ".bg{fill:#ffffff;stroke:none}"
     ".frame{fill:none;stroke:#cccccc;stroke-width:1}"
@@ -191,8 +182,6 @@ _STYLESHEET = (
     ".thick{fill:none;stroke:#d62728;stroke-width:2}"
     ".points{fill:none;stroke:#2ca02c;stroke-width:1}"
 )
-
-_POINT_HALF_PX = 2.0
 
 
 def _fmt(value: float) -> str:
@@ -232,25 +221,9 @@ def render_svg(scene: PlaneScene) -> str:
 
     for layer in scene.layers:
         parts = []
-        if layer.kind == "segments":
-            for a, b in layer.data:
-                pa, pb = to_px(a), to_px(b)
-                parts.append(f"M {_fmt(pa[0])} {_fmt(pa[1])} L {_fmt(pb[0])} {_fmt(pb[1])}")
-        elif layer.kind == "polylines":
-            for polyline in layer.data:
-                pixels = [to_px(p) for p in polyline]
-                if not pixels:
-                    continue
-                steps = " L ".join(f"{_fmt(px)} {_fmt(py)}" for px, py in pixels[1:])
-                head = f"M {_fmt(pixels[0][0])} {_fmt(pixels[0][1])}"
-                parts.append(f"{head} L {steps}" if steps else head)
-        elif layer.kind == "points":
-            r = _POINT_HALF_PX
-            for point in layer.data:
-                px, py = to_px(point)
-                parts.append(
-                    f"M {_fmt(px - r)} {_fmt(py - r)} L {_fmt(px + r)} {_fmt(py - r)} "
-                    f"L {_fmt(px + r)} {_fmt(py + r)} L {_fmt(px - r)} {_fmt(py + r)} Z")
+        for a, b in layer.data:
+            pa, pb = to_px(a), to_px(b)
+            parts.append(f"M {_fmt(pa[0])} {_fmt(pa[1])} L {_fmt(pb[0])} {_fmt(pb[1])}")
         lines.append(f'<path class="{layer.style}" d="{" ".join(parts)}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

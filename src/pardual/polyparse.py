@@ -1,6 +1,5 @@
 """Text form of polynomials: a tiny expression language plus the canonical
-printer.  The grammar below is the wire format for the CLI and for golden
-files (one polynomial per line, '#' lines are comments):
+printer.  The grammar below is the input format of the CLI:
 
     expr     := '-'? term (('+' | '-') term)*
     term     := factor ('*' factor)*
@@ -11,6 +10,9 @@ files (one polynomial per line, '#' lines are comments):
 
 Whitespace is insignificant; there is no implicit multiplication, so
 "2x1" is a syntax error.  Error offsets are 1-based byte positions.
+Exponents are capped at MAX_EXPONENT, and every product and power is
+refused before it is expanded when its total degree would exceed
+MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from .polyring import (
     VAR_NAMES,
     mono_degree,
     sorted_terms,
+    total_degree,
 )
 
 MAX_EXPONENT = 64
+MAX_DEGREE = MAX_EXPONENT
 
 
 class ParseError(ValueError):
@@ -78,6 +82,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+def _degree(p: Polynomial) -> int:
+    return total_degree(p) if p else 0
+
+
+def _check_degree(degree: int, position: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree overflow (> {MAX_DEGREE})", position)
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, object, int]]):
         self.tokens = tokens
@@ -113,9 +126,13 @@ class _Parser:
 
     def term(self) -> Polynomial:
         value = self.factor()
-        while self.eat_op("*"):
-            value = value * self.factor()
-        return value
+        while True:
+            _, _, position = self.peek()
+            if not self.eat_op("*"):
+                return value
+            rhs = self.factor()
+            _check_degree(_degree(value) + _degree(rhs), position)
+            value = value * rhs
 
     def factor(self) -> Polynomial:
         value = self.base()
@@ -125,6 +142,7 @@ class _Parser:
                 raise ParseError("expected integer exponent", position)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent overflow (> {MAX_EXPONENT})", position)
+            _check_degree(_degree(value) * exponent, position)
             value = value ** exponent
         return value
 
@@ -190,14 +208,3 @@ def print_poly(p: Polynomial) -> str:
         else:
             pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
     return "".join(pieces)
-
-
-def read_polynomials(text: str) -> list[Polynomial]:
-    """Parse golden-file text: one polynomial per line, '#' lines skipped."""
-    result = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        result.append(parse(stripped))
-    return result

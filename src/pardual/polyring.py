@@ -197,22 +197,6 @@ class Polynomial:
         return f"Polynomial({polyparse.print_poly(self)!r})"
 
 
-def constant(value: Fraction | int) -> Polynomial:
-    return Polynomial.constant(value)
-
-
-def variable(var: VarId) -> Polynomial:
-    return Polynomial.variable(var)
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
 def variables(p: Polynomial) -> frozenset[VarId]:
     return frozenset(var for mono in p.terms for var, _ in mono)
 
@@ -226,11 +210,6 @@ def total_degree(p: Polynomial) -> int:
     if not p:
         raise ValueError("total degree of the zero polynomial is undefined")
     return max(mono_degree(mono) for mono in p.terms)
-
-
-def is_homogeneous(p: Polynomial) -> bool:
-    degrees = {mono_degree(mono) for mono in p.terms}
-    return len(degrees) <= 1
 
 
 def partial_derivative(p: Polynomial, var: VarId) -> Polynomial:
@@ -261,19 +240,6 @@ def homogenize(p: Polynomial, new_var: VarId) -> Polynomial:
         if missing:
             mono = tuple(sorted((dict(mono) | {new_var: missing}).items()))
         result[mono] = coeff
-    return Polynomial(result)
-
-
-def dehomogenize(p: Polynomial, var: VarId) -> Polynomial:
-    """Substitute var = 1."""
-    result: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        stripped = tuple(pair for pair in mono if pair[0] != var)
-        total = result.get(stripped, Fraction(0)) + coeff
-        if total:
-            result[stripped] = total
-        else:
-            result.pop(stripped, None)
     return Polynomial(result)
 
 

@@ -1,10 +1,12 @@
+import argparse
 import io
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from pardual.cli import main
+from pardual.cli import MAX_GRID, MAX_SAMPLES, build_parser, main
+from pardual.dualize import DEFAULT_SPACING
 from pardual.polyparse import parse
 from pardual.polyring import content_and_primitive, evaluate_float, X, Y
 
@@ -185,6 +187,69 @@ class TestPlotCommands:
         thin = [el for el in root.iter(f"{ns}path") if el.get("class") == "thin"]
         assert len(thin) == 1
         assert thin[0].get("d").count("M ") == 300
+
+
+class TestCommandSurface:
+    def options(self):
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        return {name: {flag for action in sub._actions for flag in action.option_strings
+                       if flag not in ("-h", "--help")}
+                for name, sub in commands.choices.items()}
+
+    def test_each_command_declares_only_what_it_reads(self):
+        options = self.options()
+        assert options == {
+            "dual": set(),
+            "conic-dual": set(),
+            "verify": {"--window", "--samples"},
+            "plot": {"--window", "--grid", "--out"},
+            "plot-envelope": {"--window", "--samples", "--spacing", "--out"},
+            "eval": {"--at"},
+        }
+        curve_commands = ("verify", "plot", "plot-envelope")
+        assert sum(len(options[name]) for name in curve_commands) == 9
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--grid", "64", "x1^2 + x2^2 - 1"],
+        ["verify", "--spacing", "2", "x1^2 + x2^2 - 1"],
+        ["plot", "--samples", "10", "x1^2 + x2^2 - 1"],
+        ["plot", "--spacing", "2", "x1^2 + x2^2 - 1"],
+        ["plot-envelope", "--grid", "64", "x1^2 + x2^2 - 1"],
+    ])
+    def test_unread_option_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_caps(self, capsys):
+        args = build_parser().parse_args(["plot", "--grid", str(MAX_GRID), "x1"])
+        assert args.grid == MAX_GRID
+        args = build_parser().parse_args(["verify", "--samples", str(MAX_SAMPLES), "x1"])
+        assert args.samples == MAX_SAMPLES
+        for argv in (["plot", "--grid", str(MAX_GRID + 1), "x1"],
+                     ["plot", "--grid", "many", "x1"],
+                     ["verify", "--samples", str(MAX_SAMPLES + 1), "x1"],
+                     ["plot-envelope", "--samples", "10" * 10, "x1"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_spacing_default(self):
+        args = build_parser().parse_args(["plot-envelope", "x1"])
+        assert args.spacing == DEFAULT_SPACING
+
+    def test_nonpositive_spacing_exit_2(self, capsys):
+        code, out, err = run(capsys, "plot-envelope", "x1^2 + x2^2 - 1", "--spacing=0")
+        assert code == 2
+        assert out == ""
+        assert "spacing" in err
+
+    def test_degree_budget_exit_2(self, capsys):
+        code, out, err = run(capsys, "dual", "(x1^64)^2")
+        assert code == 2
+        assert "degree" in err
 
 
 class TestEvalCommand:

@@ -96,6 +96,11 @@ class TestEnvelopeScene:
         with pytest.raises(ValueError):
             envelope_scene(ImplicitCurve(CIRCLE), 1, VIEW2)
 
+    def test_spacing_must_be_positive(self):
+        for spacing in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                envelope_scene(ImplicitCurve(CIRCLE), 8, VIEW2, spacing=spacing)
+
     def test_envelope_touches_dual(self):
         # every tangent's dual point lies on the sample's polyline extension
         # and within grid resolution of the traced dual curve
@@ -147,8 +152,8 @@ class TestRenderSvg:
     def test_one_path_per_layer(self):
         scene = PlaneScene(VIEW2)
         scene.add_segments([((0.0, 0.0), (1.0, 1.0))], style="thin")
-        scene.add_points([(0.5, 0.5)], style="points")
-        scene.add_polylines([[(0.0, 1.0), (1.0, 0.0), (2.0, 1.0)]], style="thick")
+        scene.add_segments([((0.5, 0.5), (0.6, 0.6))], style="points")
+        scene.add_segments([((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (2.0, 1.0))], style="thick")
         root = ET.fromstring(render_svg(scene))
         ns = "{http://www.w3.org/2000/svg}"
         paths = [el.get("class") for el in root.iter(f"{ns}path")]
@@ -159,15 +164,17 @@ class TestRenderSvg:
 
     def test_y_axis_flipped(self):
         scene = PlaneScene(Viewport(0.0, 1.0, 0.0, 1.0, 100, 100))
-        scene.add_points([(0.0, 1.0)], style="points")
+        scene.add_segments([((0.0, 1.0), (1.0, 0.0))], style="thin")
         svg = render_svg(scene)
-        # world (0, 1) is the top-left corner in pixels
-        assert "M -2.000 -2.000" in svg
+        # world (0, 1) is the top-left corner in pixels, (1, 0) the bottom-right
+        assert 'class="thin" d="M 0.000 0.000 L 100.000 100.000"' in svg
 
     def test_nonfinite_rejected(self):
         scene = PlaneScene(VIEW2)
         with pytest.raises(ValueError):
-            scene.add_points([(math.inf, 0.0)])
+            scene.add_segments([((math.inf, 0.0), (0.0, 0.0))])
+        with pytest.raises(ValueError):
+            scene.add_segments([((0.0, 0.0), (0.0, math.nan))])
 
     def test_golden_fixture(self):
         fixture = GOLDEN_DIR / "circle_dual.svg"

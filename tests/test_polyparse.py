@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import all_variable_polynomials
-from pardual.polyparse import ParseError, parse, print_poly, read_polynomials
+from pardual.polyparse import MAX_DEGREE, MAX_EXPONENT, ParseError, parse, print_poly
 from pardual.polyring import X1, X2, Polynomial
 
 
@@ -66,6 +66,18 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse("x1^65")
         assert "overflow" in str(err.value)
+
+    def test_degree_budget(self):
+        assert MAX_DEGREE == MAX_EXPONENT
+        assert parse("x1^32*x2^32") == parse("x2^32*x1^32")
+        assert parse("(x1^32)^2") == parse("x1^64")
+        # products and powers are refused before they are expanded
+        for text, position in (("(x1^64)^2", 9), ("x1^64*x1", 6), ("x1*x2*x1^63", 6),
+                               ("(x1^8)^9", 8)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert "degree" in str(err.value)
+            assert err.value.position == position
 
     def test_negative_exponent(self):
         with pytest.raises(ParseError):
@@ -128,9 +140,3 @@ class TestPrint:
     def test_round_trip(self, p):
         assert parse(print_poly(p)) == p
 
-
-class TestGoldenFiles:
-    def test_read_polynomials(self):
-        text = "# golden curves\nx1^2*x2 - 1\n\n  # comment\nx1^2 + x2^2 - 1\n"
-        polys = read_polynomials(text)
-        assert polys == [parse("x1^2*x2 - 1"), parse("x1^2 + x2^2 - 1")]
