@@ -15,6 +15,7 @@ and the equals form for such flag values (`--window=-3,3,-3,3`).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -53,6 +54,8 @@ def _window(text: str) -> tuple[float, float, float, float]:
         xmin, xmax, ymin, ymax = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"window values must be floats: {exc}")
+    if not all(math.isfinite(v) for v in (xmin, xmax, ymin, ymax)):
+        raise argparse.ArgumentTypeError(f"window values must be finite, got {text!r}")
     return (xmin, xmax, ymin, ymax)
 
 

@@ -1,12 +1,13 @@
 """Point-curve duals of planar algebraic curves in parallel coordinates.
 
-The centerpiece is dual_curve, the five-step elimination pipeline: lift
-the curve to a homogeneous cone, rescale onto gradient directions, take
-the resultant of the two partial derivatives, strip the psi-power
-multiplier, and land in image coordinates via eta -> 1-x, xi -> x,
-psi -> -y.  A numeric sampling oracle (sample_curve + verify_duality)
-cross-checks the symbolic output against the fundamental point-image
-map, and a closed form covers the conic special case.
+The centerpiece is dual_curve, the elimination pipeline: lift the curve
+to a homogeneous cone, rescale onto gradient directions and land them in
+image coordinates via eta -> 1-x, xi -> x, psi -> -y, take the resultant
+of the two partial derivatives (by evaluation and interpolation, see
+elimination), strip the y-power multiplier, and normalize.  A numeric
+sampling oracle (sample_curve + verify_duality) cross-checks the symbolic
+output against the fundamental point-image map, and a closed form covers
+the conic special case.
 """
 
 from __future__ import annotations
@@ -18,18 +19,15 @@ from typing import NamedTuple, Sequence
 
 from .elimination import as_binary_form, resultant
 from .polyring import (
-    ETA,
-    PSI,
     VAR_NAMES,
     X,
     X1,
     X2,
     X3,
-    XI,
     Y,
+    Monomial,
     Polynomial,
     content_and_primitive,
-    divide_out_variable_power,
     evaluate_float,
     homogenize,
     partial_derivative,
@@ -93,7 +91,7 @@ class ImplicitCurve:
         return f"ImplicitCurve({self.f!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualCurve:
     """Primitive, positive-leading image polynomial in (x, y)."""
 
@@ -119,26 +117,31 @@ class VerifyReport:
 
 
 def dual_curve(curve: ImplicitCurve) -> DualCurve:
-    """Run the five-step transform and return the canonical dual polynomial.
+    """Run the transform and return the canonical dual polynomial.
 
     Steps: homogenize with x3; substitute x1 -> psi*x1, x2 -> psi*x2,
-    x3 -> -(eta*x1 + xi*x2); take the resultant of the two partial
-    derivatives as binary forms in (x1, x2); strip the psi^k multiplier
-    and numeric content; substitute eta -> 1-x, xi -> x, psi -> -y and
-    normalize to the primitive positive-leading representative.
+    x3 -> -(eta*x1 + xi*x2) together with the image map eta -> 1-x,
+    xi -> x, psi -> -y; take the resultant of the two partial derivatives
+    as binary forms in (x1, x2); strip the y^k multiplier (psi^k before
+    the image map) and normalize to the primitive positive-leading
+    representative.
+
+    Applying the image map first is sound: substitution is a ring
+    homomorphism, so it commutes with the partial derivatives in (x1, x2)
+    and with the determinant.  The partials and the resultant are
+    homogeneous in (eta, xi, psi), and such a polynomial vanishes on the
+    plane eta + xi = 1 only when it is zero, so the vanishing checks and
+    the stripped power k are those of the resultant in (eta, xi, psi).
     """
     if curve.n < 2:
         raise DegreeError("dual_curve needs degree >= 2 (lines dualize to points)")
     x1 = Polynomial.variable(X1)
     x2 = Polynomial.variable(X2)
+    eta, xi, psi = 1 - Polynomial.variable(X), Polynomial.variable(X), -Polynomial.variable(Y)
     cone = homogenize(curve.f, X3)
-    rescaled = substitute(cone, {
-        X1: Polynomial.variable(PSI) * x1,
-        X2: Polynomial.variable(PSI) * x2,
-        X3: -(Polynomial.variable(ETA) * x1 + Polynomial.variable(XI) * x2),
-    })
-    d1 = partial_derivative(rescaled, X1)
-    d2 = partial_derivative(rescaled, X2)
+    lifted = substitute(cone, {X1: psi * x1, X2: psi * x2, X3: -(eta * x1 + xi * x2)})
+    d1 = partial_derivative(lifted, X1)
+    d2 = partial_derivative(lifted, X2)
     if not d1 or not d2:
         raise DegenerateCurveError("a partial derivative vanished identically")
     r = resultant(as_binary_form(d1), as_binary_form(d2))
@@ -146,20 +149,25 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
         raise DegenerateCurveError(
             "degenerate input: resultant vanished identically "
             "(reducible curve or common factor of partials)")
-    k, stripped = divide_out_variable_power(r, PSI)
-    _, reduced = content_and_primitive(stripped)
-    image = substitute(reduced, {
-        ETA: 1 - Polynomial.variable(X),
-        XI: Polynomial.variable(X),
-        PSI: -Polynomial.variable(Y),
-    })
-    if not image:
-        raise DegenerateCurveError("the image polynomial vanished identically")
-    _, g = content_and_primitive(image)
+    exponents = [(dict(mono).get(X, 0), dict(mono).get(Y, 0)) for mono in r.terms]
+    k = min(b for _, b in exponents)
+    stripped = Polynomial({_image_monomial(a, b - k): coeff
+                           for (a, b), coeff in zip(exponents, r.terms.values())})
+    _, g = content_and_primitive(stripped)
     if total_degree(g) == 0:
         raise DegenerateCurveError(
             "the dual collapsed to a constant (reducible or degenerate input)")
     return DualCurve(g=g, source_degree=curve.n, psi_power_removed=k)
+
+
+_IMAGE_MONOMIALS: dict[tuple[int, int], Monomial] = {}
+
+
+def _image_monomial(a: int, b: int) -> Monomial:
+    """The monomial x^a * y^b, one shared object per exponent pair (at most
+    (n(n-1) + 1)^2 of them for duals of degree-n curves), so that duals
+    kept alive together do not each hold their own copies."""
+    return _IMAGE_MONOMIALS.setdefault((a, b), tuple(p for p in ((X, a), (Y, b)) if p[1]))
 
 
 @dataclass(frozen=True)

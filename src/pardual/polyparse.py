@@ -12,12 +12,16 @@ Whitespace is insignificant; there is no implicit multiplication, so
 "2x1" is a syntax error.  Error offsets are 1-based byte positions.
 Exponents are capped at MAX_EXPONENT, and every product and power is
 refused before it is expanded when its total degree would exceed
-MAX_DEGREE.
+MAX_DEGREE or its predicted term count would exceed MAX_TERMS.  The
+prediction is the smaller of two bounds: the number of ways to pick one
+term from each factor, and the number of monomials of that degree or
+less in the variables the factors use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .polyring import (
     Polynomial,
@@ -26,10 +30,12 @@ from .polyring import (
     mono_degree,
     sorted_terms,
     total_degree,
+    variables,
 )
 
 MAX_EXPONENT = 64
 MAX_DEGREE = MAX_EXPONENT
+MAX_TERMS = 4096
 
 
 class ParseError(ValueError):
@@ -86,9 +92,15 @@ def _degree(p: Polynomial) -> int:
     return total_degree(p) if p else 0
 
 
-def _check_degree(degree: int, position: int) -> None:
+def _check_budget(degree: int, picks: int, factors: tuple[Polynomial, ...],
+                  position: int) -> None:
+    """Refuse an expansion of the given total degree whose factors allow
+    `picks` choices of one term each, before it is computed."""
     if degree > MAX_DEGREE:
         raise ParseError(f"degree overflow (> {MAX_DEGREE})", position)
+    used = len(frozenset().union(*map(variables, factors)))
+    if min(picks, comb(used + degree, used)) > MAX_TERMS:
+        raise ParseError(f"term count overflow (> {MAX_TERMS})", position)
 
 
 class _Parser:
@@ -131,7 +143,8 @@ class _Parser:
             if not self.eat_op("*"):
                 return value
             rhs = self.factor()
-            _check_degree(_degree(value) + _degree(rhs), position)
+            _check_budget(_degree(value) + _degree(rhs), len(value.terms) * len(rhs.terms),
+                          (value, rhs), position)
             value = value * rhs
 
     def factor(self) -> Polynomial:
@@ -142,7 +155,10 @@ class _Parser:
                 raise ParseError("expected integer exponent", position)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent overflow (> {MAX_EXPONENT})", position)
-            _check_degree(_degree(value) * exponent, position)
+            terms = len(value.terms)
+            # a power picks a multiset of `exponent` terms of its base
+            picks = comb(terms + exponent - 1, exponent) if terms else 1
+            _check_budget(_degree(value) * exponent, picks, (value,), position)
             value = value ** exponent
         return value
 

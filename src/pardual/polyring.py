@@ -4,7 +4,10 @@ The variable set is a fixed eight-slot registry: the source-plane pair
 (x1, x2), the homogenizing variable x3, the gradient-direction triple
 (eta, xi, psi) and the image-plane pair (x, y).  A monomial is a sorted
 tuple of (variable, exponent) pairs with no zero exponents; a polynomial
-maps monomials to nonzero Fraction coefficients.  Values are immutable
+maps monomials to nonzero rational coefficients, held as int or Fraction.
+The constructor stores integral values as int and integer arithmetic keeps
+them int, so an integer polynomial (every primitive part, every dual)
+costs no Fraction object per term.  Values are immutable
 and every operation is a pure function, so everything here is safe to
 share across threads.  No float ever enters the arithmetic.
 """
@@ -26,6 +29,8 @@ NUM_VARS = len(VAR_NAMES)
 Monomial = tuple
 ONE_MONOMIAL: Monomial = ()
 
+Coefficient = int | Fraction
+
 
 def mono_degree(mono: Monomial) -> int:
     return sum(exp for _, exp in mono)
@@ -39,20 +44,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     exps = dict(a)
     for var, exp in b:
         exps[var] = exps.get(var, 0) + exp
-    return tuple(sorted(exps.items()))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when b does not divide a."""
-    exps = dict(a)
-    for var, exp in b:
-        rest = exps.get(var, 0) - exp
-        if rest < 0:
-            return None
-        if rest:
-            exps[var] = rest
-        else:
-            exps.pop(var, None)
     return tuple(sorted(exps.items()))
 
 
@@ -75,13 +66,13 @@ class Polynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
-        data: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, Coefficient] | None = None):
+        data: dict[Monomial, Coefficient] = {}
         if terms:
             for mono, coeff in terms.items():
                 value = Fraction(coeff)
                 if value:
-                    data[mono] = value
+                    data[mono] = value.numerator if value.denominator == 1 else value
         self._terms = data
 
     @classmethod
@@ -89,17 +80,17 @@ class Polynomial:
         return cls()
 
     @classmethod
-    def constant(cls, value: Fraction | int) -> "Polynomial":
-        return cls({ONE_MONOMIAL: Fraction(value)})
+    def constant(cls, value: Coefficient) -> "Polynomial":
+        return cls({ONE_MONOMIAL: value})
 
     @classmethod
     def variable(cls, var: VarId) -> "Polynomial":
         if not 0 <= var < NUM_VARS:
             raise ValueError(f"variable index {var} outside the registry")
-        return cls({((var, 1),): Fraction(1)})
+        return cls({((var, 1),): 1})
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def terms(self) -> Mapping[Monomial, Coefficient]:
         return self._terms
 
     def __bool__(self) -> bool:
@@ -128,7 +119,7 @@ class Polynomial:
             return NotImplemented
         result = dict(self._terms)
         for mono, coeff in rhs._terms.items():
-            total = result.get(mono, Fraction(0)) + coeff
+            total = result.get(mono, 0) + coeff
             if total:
                 result[mono] = total
             else:
@@ -162,11 +153,11 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not rhs._terms:
             return Polynomial()
-        result: dict[Monomial, Fraction] = {}
+        result: dict[Monomial, Coefficient] = {}
         for mono_a, coeff_a in self._terms.items():
             for mono_b, coeff_b in rhs._terms.items():
                 mono = mono_mul(mono_a, mono_b)
-                total = result.get(mono, Fraction(0)) + coeff_a * coeff_b
+                total = result.get(mono, 0) + coeff_a * coeff_b
                 if total:
                     result[mono] = total
                 else:
@@ -201,7 +192,7 @@ def variables(p: Polynomial) -> frozenset[VarId]:
     return frozenset(var for mono in p.terms for var, _ in mono)
 
 
-def sorted_terms(p: Polynomial) -> list[tuple[Monomial, Fraction]]:
+def sorted_terms(p: Polynomial) -> list[tuple[Monomial, Coefficient]]:
     """Terms in canonical order: graded-lex, highest first."""
     return sorted(p.terms.items(), key=lambda item: _mono_key(item[0]), reverse=True)
 
@@ -213,7 +204,7 @@ def total_degree(p: Polynomial) -> int:
 
 
 def partial_derivative(p: Polynomial, var: VarId) -> Polynomial:
-    result: dict[Monomial, Fraction] = {}
+    result: dict[Monomial, Coefficient] = {}
     for mono, coeff in p.terms.items():
         exps = dict(mono)
         exp = exps.get(var)
@@ -234,7 +225,7 @@ def homogenize(p: Polynomial, new_var: VarId) -> Polynomial:
     if new_var in variables(p):
         raise ValueError(f"homogenizing variable {VAR_NAMES[new_var]} already occurs")
     n = total_degree(p)
-    result: dict[Monomial, Fraction] = {}
+    result: dict[Monomial, Coefficient] = {}
     for mono, coeff in p.terms.items():
         missing = n - mono_degree(mono)
         if missing:
@@ -283,25 +274,6 @@ def content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
     return content, primitive
 
 
-def divide_out_variable_power(p: Polynomial, var: VarId) -> tuple[int, Polynomial]:
-    """Remove the largest power of var dividing every term; returns (k, p / var^k)."""
-    if not p:
-        raise ValueError("cannot strip a variable power from the zero polynomial")
-    k = min(dict(mono).get(var, 0) for mono in p.terms)
-    if k == 0:
-        return 0, p
-    result: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        exps = dict(mono)
-        rest = exps[var] - k
-        if rest:
-            exps[var] = rest
-        else:
-            del exps[var]
-        result[tuple(sorted(exps.items()))] = coeff
-    return k, Polynomial(result)
-
-
 def evaluate_exact(p: Polynomial, point: Mapping[VarId, Fraction | int]) -> Fraction:
     total = Fraction(0)
     for mono, coeff in p.terms.items():
@@ -325,30 +297,3 @@ def evaluate_float(p: Polynomial, point: Mapping[VarId, float]) -> float:
             term *= float(point[var]) ** exp
         total += term
     return total
-
-
-def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Quotient p / d when the division is exact in the ring; raises otherwise."""
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not p:
-        return Polynomial()
-    d_lead = max(d.terms, key=_mono_key)
-    d_lead_coeff = d.terms[d_lead]
-    remainder = dict(p.terms)
-    quotient: dict[Monomial, Fraction] = {}
-    while remainder:
-        r_lead = max(remainder, key=_mono_key)
-        q_mono = mono_div(r_lead, d_lead)
-        if q_mono is None:
-            raise ValueError("inexact polynomial division")
-        q_coeff = remainder[r_lead] / d_lead_coeff
-        quotient[q_mono] = q_coeff
-        for mono, coeff in d.terms.items():
-            target = mono_mul(q_mono, mono)
-            total = remainder.get(target, Fraction(0)) - q_coeff * coeff
-            if total:
-                remainder[target] = total
-            else:
-                remainder.pop(target, None)
-    return Polynomial(quotient)

@@ -246,10 +246,26 @@ class TestCommandSurface:
         assert out == ""
         assert "spacing" in err
 
+    @pytest.mark.parametrize("command", ["verify", "plot", "plot-envelope"])
+    @pytest.mark.parametrize("window", ["-inf,inf,-3,3", "-3,3,nan,3"])
+    def test_nonfinite_window_exit_2(self, command, window, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "x1^2 + x2^2 - 1", f"--window={window}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_degree_budget_exit_2(self, capsys):
         code, out, err = run(capsys, "dual", "(x1^64)^2")
         assert code == 2
         assert "degree" in err
+
+    def test_term_budget_exit_2(self, capsys):
+        code, out, err = run(capsys, "dual", "(x1+x2+x3+eta+xi+psi+x+y+1)^10")
+        assert code == 2
+        assert out == ""
+        assert "term count" in err
 
 
 class TestEvalCommand:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from pardual.dualize import (
     sample_curve,
     verify_duality,
 )
-from pardual.polyparse import parse
+from pardual.polyparse import parse, print_poly
 from pardual.polyring import (
     X,
     X1,
@@ -57,6 +58,31 @@ CIRCLE_SOURCE = "x1^2 + x2^2 - 1"
 CIRCLE_DUAL = "2*x^2 - y^2 - 2*x + 1"
 
 WINDOW = (-3.0, 3.0, -3.0, 3.0)
+
+
+def dense_text(rng, degree):
+    """Every monomial of degree <= n, with a nonzero coefficient in [-9, 9]."""
+    terms = []
+    for total in range(degree, -1, -1):
+        for e1 in range(total, -1, -1):
+            c = rng.choice([c for c in range(-9, 10) if c])
+            mono = "*".join(f"{v}^{e}" for v, e in (("x1", e1), ("x2", total - e1)) if e)
+            terms.append(f"{'-' if c < 0 else '+'} {abs(c)}{'*' + mono if mono else ''}")
+    return " ".join(terms).removeprefix("+ ")
+
+
+# sha256 (first 16 hex digits) of "dual: <g>\npsi_power: <k>\n" for ten dense
+# cubics, ten dense quartics and one dense quintic drawn in that order from
+# random.Random(20261018), as computed by the earlier resultant that
+# expanded the Sylvester determinant symbolically.
+DENSE_DUAL_SHA256 = (
+    "9860c396a28bad3a", "56181e86d014ab59", "f334d670bf81216e", "14d4fba19fa64da9",
+    "95de871b71f892bd", "dc778fc6790e324e", "93f0f7e51d240fba", "a9dceda3ba602ffc",
+    "d4c27f1d3271e49d", "86d494db54193d31", "e2a4f7f273ed5831", "932ca6be1102dcfa",
+    "def80a76b0316029", "bb11b9db270a38de", "6cedc8e13b292c42", "a26f6ba39880e790",
+    "3f2e4a2392aeef29", "37ed59d96c439231", "2222d851a63bb270", "c2554a94dc244ac1",
+)
+DENSE_QUINTIC_DUAL_SHA256 = "f61222c52e4f9f03"
 
 
 def curve(text):
@@ -119,6 +145,18 @@ class TestDualCurve:
         # partials share the factor (x1 - x2), so R is identically zero
         with pytest.raises(DegenerateCurveError, match="resultant vanished"):
             dual_curve(curve("x1^2 - 2*x1*x2 + x2^2"))
+
+    def test_pinned_dense_duals(self):
+        rng = random.Random(20261018)
+        texts = ([dense_text(rng, 3) for _ in range(10)] + [dense_text(rng, 4) for _ in range(10)]
+                 + [dense_text(rng, 5)])
+        digests = []
+        for text in texts:
+            dual = dual_curve(curve(text))
+            canonical = f"dual: {print_poly(dual.g)}\npsi_power: {dual.psi_power_removed}\n"
+            digests.append(hashlib.sha256(canonical.encode()).hexdigest()[:16])
+        assert tuple(digests[:20]) == DENSE_DUAL_SHA256
+        assert digests[20] == DENSE_QUINTIC_DUAL_SHA256
 
     def test_reducible_axes(self):
         with pytest.raises(DegenerateCurveError):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import polynomials
@@ -15,7 +15,21 @@ from pardual.elimination import (
     sylvester_matrix,
 )
 from pardual.polyparse import parse
-from pardual.polyring import ETA, PSI, X1, X2, X3, XI, Polynomial, homogenize, partial_derivative, substitute, total_degree
+from pardual.polyring import (
+    ETA,
+    PSI,
+    X,
+    X1,
+    X2,
+    X3,
+    XI,
+    Y,
+    Polynomial,
+    homogenize,
+    partial_derivative,
+    substitute,
+    total_degree,
+)
 
 
 def constant_form(*coeffs):
@@ -73,8 +87,9 @@ class TestAsBinaryForm:
     def test_stray_variable_rejected(self):
         with pytest.raises(ValueError):
             as_binary_form(parse("x3*x1 + x3*x2"))
+        BinaryForm(1, (parse("x"), parse("y")))
         with pytest.raises(ValueError):
-            BinaryForm(1, (parse("x"), parse("1")))
+            BinaryForm(1, (parse("x3"), parse("1")))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -115,17 +130,33 @@ class TestSylvesterMatrix:
             sylvester_matrix(BinaryForm(0, (parse("1"),)), as_binary_form(parse("x1")))
 
 
+def leibniz(rows):
+    """Signed sum over all permutations: the reference determinant."""
+    size = len(rows)
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term = term * rows[r][c]
+        total = total + term
+    return total
+
+
+IMAGE_MAP = {ETA: 1 - Polynomial.variable(X), XI: Polynomial.variable(X),
+             PSI: -Polynomial.variable(Y)}
+
+
 class TestDeterminant:
     def test_two_by_two_symbolic(self):
-        m = ((parse("2*eta"), parse("2*xi")),
-             (parse("2*xi"), parse("2*psi")))
-        assert determinant(m) == parse("4*eta*psi - 4*xi^2")
+        # the Sylvester matrix ((2*eta, 2*xi), (2*xi, 2*psi)), by interpolation
+        f = BinaryForm(1, (parse("2*xi"), parse("2*eta")))
+        g = BinaryForm(1, (parse("2*psi"), parse("2*xi")))
+        assert resultant(f, g) == parse("4*eta*psi - 4*xi^2")
 
     def test_identity_four(self):
-        one = Polynomial.constant(1)
-        zero = Polynomial.zero()
-        rows = tuple(tuple(one if i == j else zero for j in range(4)) for i in range(4))
-        assert determinant(rows) == one
+        rows = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+        assert determinant(rows) == 1
 
     def test_circle_resultant_golden(self):
         g = rescaled_cone(parse("x1^2 + x2^2 - 1"))
@@ -136,25 +167,17 @@ class TestDeterminant:
         assert r == parse("4*psi^2") * parse("psi^2 - eta^2 - xi^2")
 
     def test_singular_matrix_zero(self):
-        row = (parse("eta"), parse("xi"), parse("psi"), parse("1"))
-        rows = (row, row, (parse("1"), parse("0"), parse("0"), parse("0")),
-                (parse("0"), parse("1"), parse("0"), parse("0")))
-        assert determinant(rows) == Polynomial.zero()
+        row = (3, -2, 5, 1)
+        rows = (row, row, (1, 0, 0, 0), (0, 1, 0, 0))
+        assert determinant(rows) == 0
 
-    @settings(max_examples=40)
-    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=60)
+    @given(st.integers(1, 6), st.data())
     def test_bareiss_matches_leibniz(self, size, data):
-        entry = polynomials(variables=(ETA, XI, PSI), max_terms=2, max_degree=2)
+        # zeros are frequent, so pivoting and row swaps are exercised
+        entry = st.one_of(st.just(0), st.integers(-50, 50))
         rows = tuple(tuple(data.draw(entry) for _ in range(size)) for _ in range(size))
-        # independent reference: signed sum over all permutations
-        expected = Polynomial.zero()
-        for perm in permutations(range(size)):
-            inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
-            term = Polynomial.constant(-1 if inversions % 2 else 1)
-            for r, c in enumerate(perm):
-                term = term * rows[r][c]
-            expected = expected + term
-        assert determinant(rows) == expected
+        assert determinant(rows) == leibniz(rows)
 
 
 class TestResultant:
@@ -213,6 +236,35 @@ class TestResultant:
             product = as_binary_form(f_poly * g_poly)
             assert resultant(product, h) == resultant(f, h) * resultant(g, h)
             checked += 1
+
+    @settings(max_examples=25)
+    @given(st.integers(1, 2), st.integers(1, 2), st.data())
+    def test_matches_leibniz_expansion(self, n, m, data):
+        # rational coefficients in every form variable exercise the scaling
+        coeff = polynomials(variables=(ETA, XI, PSI, X, Y), max_terms=3, max_degree=2)
+        rational = coeff.map(lambda p: p * Fraction(1, data.draw(st.integers(1, 4))))
+        f_coeffs = tuple(data.draw(rational) for _ in range(n + 1))
+        g_coeffs = tuple(data.draw(rational) for _ in range(m + 1))
+        assume(any(f_coeffs) and any(g_coeffs))
+        f, g = BinaryForm(n, f_coeffs), BinaryForm(m, g_coeffs)
+        assert resultant(f, g) == leibniz(sylvester_matrix(f, g))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_commutes_with_image_map(self, degree, data):
+        # substitution is a ring homomorphism, so it commutes with the
+        # resultant: the pipeline may apply the image map first
+        monos = [((X1, i), (X2, t - i)) for t in range(degree + 1) for i in range(t + 1)]
+        coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=len(monos), max_size=len(monos)))
+        f = Polynomial({tuple(p for p in mono if p[1]): c for mono, c in zip(monos, coeffs)})
+        assume(f and total_degree(f) == degree)
+        cone = rescaled_cone(f)
+        d1, d2 = partial_derivative(cone, X1), partial_derivative(cone, X2)
+        assume(d1 and d2)
+        forms = [as_binary_form(d) for d in (d1, d2)]
+        mapped = [BinaryForm(form.degree, tuple(substitute(c, IMAGE_MAP) for c in form.coeffs))
+                  for form in forms]
+        assert resultant(*mapped) == substitute(resultant(*forms), IMAGE_MAP)
 
     def test_degree_bookkeeping(self):
         # raw determinant degree stays within n*(2n - 2) for pipeline inputs

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import all_variable_polynomials
-from pardual.polyparse import MAX_DEGREE, MAX_EXPONENT, ParseError, parse, print_poly
+from pardual.polyparse import MAX_DEGREE, MAX_EXPONENT, MAX_TERMS, ParseError, parse, print_poly
 from pardual.polyring import X1, X2, Polynomial
 
 
@@ -77,6 +77,25 @@ class TestParseErrors:
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert "degree" in str(err.value)
+            assert err.value.position == position
+
+    def test_term_budget(self, monkeypatch):
+        nine = "(x1+x2+x3+eta+xi+psi+x+y+1)"
+        assert len(parse(f"{nine}^6").terms) == 3003
+        assert 2145 <= MAX_TERMS < 6435  # (x1+x2+1)^64 parses, nine^7 does not
+        # refused before expanding: the power and the big product never run
+        multiply = Polynomial.__mul__
+
+        def small_products_only(a, b):
+            assert len(a.terms) * len(b.terms) <= 9 * 3003, "expanded past the budget"
+            return multiply(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", small_products_only)
+        for text, position in ((f"{nine}^10", 29), (f"{nine}^5*{nine}^5", 30),
+                               ("*".join([nine] * 10), 168)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert "term count" in str(err.value)
             assert err.value.position == position
 
     def test_negative_exponent(self):

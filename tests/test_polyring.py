@@ -14,10 +14,8 @@ from pardual.polyring import (
     XI,
     Polynomial,
     content_and_primitive,
-    divide_out_variable_power,
     evaluate_exact,
     evaluate_float,
-    exact_divide,
     homogenize,
     mono_degree,
     partial_derivative,
@@ -37,6 +35,16 @@ class TestArithmetic:
 
     def test_add_disjoint(self):
         assert parse("x1^2") + parse("x2^2") == parse("x1^2 + x2^2")
+
+    def test_integral_coefficients_held_as_int(self):
+        # integer polynomials carry no Fraction object per term
+        p = Polynomial({((X1, 1),): Fraction(6, 3), (): Fraction(1, 2)})
+        assert type(p.terms[((X1, 1),)]) is int
+        assert p.terms[()] == Fraction(1, 2)
+        q = parse("3*x1^2 - 2*x2") * parse("x1 - 5") + parse("7")
+        assert all(type(c) is int for c in q.terms.values())
+        _, primitive = content_and_primitive(parse("1/2*x1 + 3/4"))
+        assert all(type(c) is int for c in primitive.terms.values())
 
     def test_mul_difference_of_squares(self):
         assert parse("x1 - x2") * parse("x1 + x2") == parse("x1^2 - x2^2")
@@ -161,13 +169,10 @@ class TestContentPrimitive:
         assert primitive == parse("psi^2*eta^2 + 2*psi^2*xi^2")
 
     def test_negative_leading_flips(self):
-        # the variable part of a -3*psi^6 multiplier is handled separately
         p = parse("-3*psi^6") * parse("eta^2 + 2")
-        k, stripped = divide_out_variable_power(p, PSI)
-        assert k == 6
-        content, primitive = content_and_primitive(stripped)
+        content, primitive = content_and_primitive(p)
         assert content == -3
-        assert primitive == parse("eta^2 + 2")
+        assert primitive == parse("psi^6*eta^2 + 2*psi^6")
 
     def test_primitive_input(self):
         content, primitive = content_and_primitive(parse("x1^2 - x2"))
@@ -183,23 +188,6 @@ class TestContentPrimitive:
     def test_reassembles(self, p):
         content, primitive = content_and_primitive(p)
         assert content * primitive == p
-
-
-class TestDivideOutVariablePower:
-    def test_psi_free_term(self):
-        p = parse("psi^2*eta + xi")
-        assert divide_out_variable_power(p, PSI) == (0, p)
-
-    def test_strip(self):
-        k, q = divide_out_variable_power(parse("psi^3*eta + psi^2*xi"), PSI)
-        assert k == 2
-        assert q == parse("psi*eta + xi")
-
-    @given(nonzero_polynomials(variables=(ETA, XI, PSI)))
-    def test_invariants(self, p):
-        k, q = divide_out_variable_power(p, PSI)
-        assert divide_out_variable_power(q, PSI)[0] == 0
-        assert Polynomial.variable(PSI) ** k * q == p
 
 
 class TestEvaluate:
@@ -224,21 +212,6 @@ class TestEvaluate:
     def test_rational_point(self):
         p = parse("x1^2 + x2^2 - 1")
         assert evaluate_exact(p, {X1: Fraction(3, 5), X2: Fraction(4, 5)}) == 0
-
-
-class TestExactDivide:
-    def test_quotient(self):
-        p = parse("x1^2 - x2^2")
-        assert exact_divide(p, parse("x1 - x2")) == parse("x1 + x2")
-
-    def test_inexact_raises(self):
-        with pytest.raises(ValueError):
-            exact_divide(parse("x1^2 + 1"), parse("x1 - x2"))
-
-    @given(nonzero_polynomials(max_terms=4, max_degree=3),
-           nonzero_polynomials(max_terms=4, max_degree=3))
-    def test_product_round_trip(self, p, q):
-        assert exact_divide(p * q, q) == p
 
 
 class TestRingAxioms:
