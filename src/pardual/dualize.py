@@ -25,13 +25,12 @@ from .polyring import (
     X2,
     X3,
     Y,
+    FloatForm,
     Monomial,
     Polynomial,
     content_and_primitive,
-    evaluate_float,
     homogenize,
     partial_derivative,
-    sorted_terms,
     substitute,
     total_degree,
     variables,
@@ -71,9 +70,12 @@ class PlanePoint(NamedTuple):
 
 class ImplicitCurve:
     """Curve f(x1, x2) = 0 of degree n >= 1; irreducibility is the caller's
-    promise (the R == 0 check in dual_curve is the safety net)."""
+    promise (the R == 0 check in dual_curve is the safety net).
 
-    __slots__ = ("f", "n")
+    form and gradient are f and its partials (f1, f2) compiled once for
+    the float views (sampling, point images, residuals)."""
+
+    __slots__ = ("f", "n", "form", "gradient")
 
     def __init__(self, f: Polynomial):
         if not f:
@@ -86,6 +88,9 @@ class ImplicitCurve:
         self.n = total_degree(f)
         if self.n < 1:
             raise ValueError("a constant does not define a curve")
+        self.form = FloatForm(f, X1, X2)
+        self.gradient = (FloatForm(partial_derivative(f, X1), X1, X2),
+                         FloatForm(partial_derivative(f, X2), X1, X2))
 
     def __repr__(self) -> str:
         return f"ImplicitCurve({self.f!r})"
@@ -220,31 +225,19 @@ def conic_dual_matrix(source: ConicMatrix) -> ConicMatrix:
     )
 
 
-def max_abs_term(p: Polynomial, point: dict[int, float]) -> float:
-    """Largest |term| of p at the point; the scale for relative residuals."""
-    worst = 0.0
-    for mono, coeff in p.terms.items():
-        term = abs(float(coeff))
-        for var, exp in mono:
-            term *= abs(point[var]) ** exp
-        worst = max(worst, term)
-    return worst
-
-
 def _on_curve_tolerance(curve: ImplicitCurve, x1v: float, x2v: float) -> float:
-    return F_TOL_REL * (1.0 + max_abs_term(curve.f, {X1: x1v, X2: x2v}))
+    return F_TOL_REL * (1.0 + curve.form.max_abs_term(x1v, x2v))
 
 
 def point_image_on_dual(curve: ImplicitCurve, point: tuple[float, float]) -> PlanePoint:
     """Image of a curve point under the fundamental duality:
     x = f2 / (f1 + f2), y = (x1*f1 + x2*f2) / (f1 + f2)."""
     x1v, x2v = point
-    at = {X1: x1v, X2: x2v}
-    value = evaluate_float(curve.f, at)
+    value = curve.form(x1v, x2v)
     if abs(value) > _on_curve_tolerance(curve, x1v, x2v):
         raise ValueError(f"point {point} is not on the curve (|f| = {abs(value):.3g})")
-    f1 = evaluate_float(partial_derivative(curve.f, X1), at)
-    f2 = evaluate_float(partial_derivative(curve.f, X2), at)
+    f1 = curve.gradient[0](x1v, x2v)
+    f2 = curve.gradient[1](x1v, x2v)
     denominator = f1 + f2
     if abs(denominator) < DENOM_TOL:
         raise IdealPointError("slope-1 tangent maps to ideal point")
@@ -269,26 +262,6 @@ def point_to_polyline(values: Sequence[Fraction | float],
     if d <= 0:
         raise ValueError("axis spacing must be positive")
     return [PlanePoint(i * d, float(c)) for i, c in enumerate(values)]
-
-
-def _line_coefficients(f: Polynomial, fixed_var: int, fixed_val: float,
-                       free_var: int) -> list[float]:
-    """Dense float coefficients of f restricted to a scan line, ascending.
-
-    Terms are folded in canonical order so the restriction is deterministic.
-    """
-    degree = total_degree(f)
-    coeffs = [0.0] * (degree + 1)
-    for mono, coeff in sorted_terms(f):
-        term = float(coeff)
-        free_exp = 0
-        for var, exp in mono:
-            if var == fixed_var:
-                term *= fixed_val ** exp
-            elif var == free_var:
-                free_exp = exp
-        coeffs[free_exp] += term
-    return coeffs
 
 
 def _horner(coeffs: list[float], t: float) -> float:
@@ -346,20 +319,18 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
         raise ValueError("window must be nonempty")
     if target_count < 1:
         raise ValueError("target_count must be at least 1")
-    f = curve.f
-    fx1 = partial_derivative(f, X1)
-    fx2 = partial_derivative(f, X2)
+    f = curve.form
+    fx1, fx2 = curve.gradient
     lines = max(16, 2 * target_count)
 
     points: list[tuple[float, float]] = []
     gradients: list[tuple[float, float]] = []
 
     def accept(x1v: float, x2v: float) -> None:
-        at = {X1: x1v, X2: x2v}
-        if abs(evaluate_float(f, at)) > _on_curve_tolerance(curve, x1v, x2v):
+        if abs(f(x1v, x2v)) > _on_curve_tolerance(curve, x1v, x2v):
             return
-        g1 = evaluate_float(fx1, at)
-        g2 = evaluate_float(fx2, at)
+        g1 = fx1(x1v, x2v)
+        g2 = fx2(x1v, x2v)
         if math.hypot(g1, g2) < SINGULAR_TOL:
             return
         points.append((x1v, x2v))
@@ -367,10 +338,9 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
 
     def scan(fixed_var: int, fixed_lo: float, fixed_hi: float,
              free_lo: float, free_hi: float, horizontal: bool) -> None:
-        free_var = X1 if fixed_var == X2 else X2
         for i in range(lines):
             fixed_val = fixed_lo + (i + 0.5) * (fixed_hi - fixed_lo) / lines
-            coeffs = _line_coefficients(f, fixed_var, fixed_val, free_var)
+            coeffs = f.line(fixed_var, fixed_val)
             if not any(coeffs[1:]):
                 continue
             step = (free_hi - free_lo) / _SAMPLES_PER_LINE
@@ -413,6 +383,7 @@ def verify_duality(curve: ImplicitCurve, dual: DualCurve,
     The residual is |g(x, y)| / (1 + max |term of g at (x, y)|); samples
     whose tangent has slope 1 are skipped.
     """
+    g = FloatForm(dual.g, X, Y)
     tested = 0
     skipped = 0
     worst = 0.0
@@ -422,9 +393,8 @@ def verify_duality(curve: ImplicitCurve, dual: DualCurve,
         except IdealPointError:
             skipped += 1
             continue
-        at = {X: image.x, Y: image.y}
-        value = abs(evaluate_float(dual.g, at))
-        scale = 1.0 + max_abs_term(dual.g, at)
+        value = abs(g(image.x, image.y))
+        scale = 1.0 + g.max_abs_term(image.x, image.y)
         worst = max(worst, value / scale)
         tested += 1
     if tested == 0:

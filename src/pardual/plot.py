@@ -1,10 +1,11 @@
 """Deterministic SVG rendering of curves, duals and tangent-line envelopes.
 
 Implicit curves are traced with marching squares (center-sampled saddle
-disambiguation); scenes are ordered layers of segments with abstract
-style tokens; render_svg emits byte-stable SVG 1.1 with the y-axis
-flipped to mathematical orientation and all coordinates printed to three
-decimals.
+disambiguation); the grid is evaluated column by column through one
+compiled FloatForm, so only two adjacent columns are held at a time.
+Scenes are ordered layers of segments with abstract style tokens;
+render_svg emits byte-stable SVG 1.1 with the y-axis flipped to
+mathematical orientation and all coordinates printed to three decimals.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dualize import DEFAULT_SPACING, ImplicitCurve, sample_curve
-from .polyring import X, X1, X2, Y, Polynomial, evaluate_float, variables
+from .polyring import X, X1, X2, Y, FloatForm, Polynomial, variables
 
 Point = tuple[float, float]
 Segment = tuple[Point, Point]
@@ -81,25 +82,40 @@ _CASES = {
 
 def trace_implicit(p: Polynomial, vp: Viewport, grid: int = 64) -> list[Segment]:
     """March a grid x grid cell mesh over the viewport and return the
-    zero-set segments of p (empty when the curve misses the window)."""
+    zero-set segments of p (empty when the curve misses the window).
+
+    p is compiled once; the y**b powers are taken once per grid row and the
+    restriction [(c*x**a, b), ...] once per grid column, and the cells are
+    marched between two adjacent columns, so the full grid of values is
+    never held.  Every value is bit-identical to evaluate_float's.
+    """
     if grid < 16:
         raise ValueError("grid must be at least 16")
     ax, ay = _axes_pair(p)
+    form = FloatForm(p, ax, ay)
     xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]
     ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
-    values = [[evaluate_float(p, {ax: xv, ay: yv}) for yv in ys] for xv in xs]
+    y_powers = [[yv ** b for yv in ys] for b in range(form.degree + 1)]
+
+    def column(xv: float) -> list[float]:
+        values = [0.0] * len(ys)
+        for coeff, b in form.restrict(ax, xv):
+            values = [v + coeff * power for v, power in zip(values, y_powers[b])]
+        return values
 
     def interp(x0, y0, v0, x1, y1, v1) -> Point:
         t = v0 / (v0 - v1)
         return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
 
     segments: list[Segment] = []
+    right = column(xs[0])
     for i in range(grid):
+        left, right = right, column(xs[i + 1])
         for j in range(grid):
-            bl = values[i][j]
-            br = values[i + 1][j]
-            tr = values[i + 1][j + 1]
-            tl = values[i][j + 1]
+            bl = left[j]
+            br = right[j]
+            tr = right[j + 1]
+            tl = left[j + 1]
             index = ((bl < 0) | ((br < 0) << 1) | ((tr < 0) << 2) | ((tl < 0) << 3))
             if index in (0, 15):
                 continue
@@ -113,8 +129,7 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int = 64) -> list[Segment]
             if (bl < 0) != (tl < 0):
                 edge_points["L"] = interp(xs[i], ys[j], bl, xs[i], ys[j + 1], tl)
             if index in (5, 10):
-                center = evaluate_float(p, {ax: 0.5 * (xs[i] + xs[i + 1]),
-                                            ay: 0.5 * (ys[j] + ys[j + 1])})
+                center = form(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
                 if index == 5:
                     pairs = [("L", "T"), ("B", "R")] if center < 0 else [("L", "B"), ("R", "T")]
                 else:

@@ -9,7 +9,9 @@ The constructor stores integral values as int and integer arithmetic keeps
 them int, so an integer polynomial (every primitive part, every dual)
 costs no Fraction object per term.  Values are immutable
 and every operation is a pure function, so everything here is safe to
-share across threads.  No float ever enters the arithmetic.
+share across threads.  No float ever enters the arithmetic; the float
+views are evaluate_float and FloatForm, a polynomial compiled once for
+repeated evaluation in a pair of variables.
 """
 
 from __future__ import annotations
@@ -287,7 +289,9 @@ def evaluate_exact(p: Polynomial, point: Mapping[VarId, Fraction | int]) -> Frac
 
 
 def evaluate_float(p: Polynomial, point: Mapping[VarId, float]) -> float:
-    # Terms are summed in canonical order so residuals are bit-reproducible.
+    """One-off float value of p, its terms summed in canonical order so that
+    residuals are bit-reproducible.  The package evaluates through FloatForm,
+    which reproduces this function bit for bit; the tests compare the two."""
     total = 0.0
     for mono, coeff in sorted_terms(p):
         term = float(coeff)
@@ -297,3 +301,63 @@ def evaluate_float(p: Polynomial, point: Mapping[VarId, float]) -> float:
             term *= float(point[var]) ** exp
         total += term
     return total
+
+
+class FloatForm:
+    """p compiled for repeated float evaluation in the axis pair ax < ay.
+
+    The terms are held in canonical order as (float(coeff), exp_ax, exp_ay),
+    and every value is computed with the float operations of evaluate_float
+    in the same order: term = c, then *= x**a, then *= y**b, summed from 0.0.
+    So each value is bit-identical to evaluate_float's.  A factor v**0 is
+    1.0 and multiplying by it is exact, so terms need no branch on a zero
+    exponent.  No Horner scheme: it rounds differently and can flip the sign
+    of a value near zero.
+    """
+
+    __slots__ = ("axes", "degree", "terms")
+
+    def __init__(self, p: Polynomial, ax: VarId, ay: VarId):
+        if not ax < ay:
+            raise ValueError("the axis pair must be in registry order")
+        stray = variables(p) - {ax, ay}
+        if stray:
+            raise ValueError(f"variable {VAR_NAMES[min(stray)]} is unbound")
+        self.axes = (ax, ay)
+        self.terms = tuple((float(coeff), dict(mono).get(ax, 0), dict(mono).get(ay, 0))
+                           for mono, coeff in sorted_terms(p))
+        self.degree = max((a + b for _, a, b in self.terms), default=0)
+
+    def __call__(self, x: float, y: float) -> float:
+        total = 0.0
+        for c, a, b in self.terms:
+            total += c * x ** a * y ** b
+        return total
+
+    def max_abs_term(self, x: float, y: float) -> float:
+        """Largest |term| at (x, y); the scale for relative residuals."""
+        x, y = abs(x), abs(y)
+        worst = 0.0
+        for c, a, b in self.terms:
+            worst = max(worst, abs(c) * x ** a * y ** b)
+        return worst
+
+    def restrict(self, var: VarId, value: float) -> list[tuple[float, int]]:
+        """The terms with var fixed at value, in canonical order, as pairs
+        (coefficient, exponent of the other axis).  Fixing ax gives
+        [(c * x**a, b), ...], and multiplying each by y**b and summing from
+        0.0 reproduces __call__ bit for bit."""
+        ax, ay = self.axes
+        if var == ax:
+            return [(c * value ** a, b) for c, a, b in self.terms]
+        if var == ay:
+            return [(c * value ** b, a) for c, a, b in self.terms]
+        raise ValueError(f"variable {VAR_NAMES[var]} is not an axis of this form")
+
+    def line(self, var: VarId, value: float) -> list[float]:
+        """Dense coefficients in the other axis, ascending, of p restricted
+        to var = value; degree + 1 of them."""
+        coeffs = [0.0] * (self.degree + 1)
+        for c, e in self.restrict(var, value):
+            coeffs[e] += c
+        return coeffs

@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import io
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from pardual.cli import MAX_GRID, MAX_SAMPLES, build_parser, main
 from pardual.dualize import DEFAULT_SPACING
 from pardual.polyparse import parse
-from pardual.polyring import content_and_primitive, evaluate_float, X, Y
+from pardual.polyring import FloatForm, content_and_primitive, evaluate_float, X, Y
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -159,16 +161,15 @@ class TestPlotCommands:
         thick = [el for el in root.iter(f"{ns}path") if el.get("class") == "thick"]
         assert thick and thick[0].get("d")
         g = parse("27*x^6 - 4*x^3*y^3 - 54*x^5 + 27*x^4")
-        from pardual.dualize import max_abs_term
         from pardual.plot import Viewport, trace_implicit
         panel = Viewport(-3.0, 3.0, -3.0, 3.0)
         segments = trace_implicit(g, panel, 64)
         assert segments
+        scale_form = FloatForm(g, X, Y)
         for segment in segments:
             for px, py in segment:
-                at = {X: px, Y: py}
-                scale = 1.0 + max_abs_term(g, at)
-                assert abs(evaluate_float(g, at)) < 0.05 * scale
+                scale = 1.0 + scale_form.max_abs_term(px, py)
+                assert abs(evaluate_float(g, {X: px, Y: py})) < 0.05 * scale
 
     def test_unwritable_path_exit_6(self, capsys, tmp_path):
         code, _, err = run(capsys, "plot", "x1^2 + x2^2 - 1", "--grid", "64",
@@ -187,6 +188,66 @@ class TestPlotCommands:
         thin = [el for el in root.iter(f"{ns}path") if el.get("class") == "thin"]
         assert len(thin) == 1
         assert thin[0].get("d").count("M ") == 300
+
+
+class TestPinnedOutput:
+    """sha256 of stdout, generated by the code that evaluated the plot grid
+    point by point with evaluate_float.  The float evaluator may get faster
+    but must not move a byte; if a digest moves, find the cause, do not
+    re-pin it."""
+
+    SEC32 = "x1^3 - x1^2 - x2^2 + x2 - 1"
+
+    @pytest.mark.parametrize("text, digest", [
+        ("x1^2 + x2^2 - 1", "6252afd26804d134cc12eb569b9ea1752a42a4e3890dd1f3be1db2a2461aadac"),
+        ("x1^2*x2 - 1", "2e71d7fc71811032f4cb2c9f661ac4a9fad0b5bf651c422d39c53eb5e0df69c7"),
+        (SEC32, "67d9fd935da7ba461564bac2681c0a15fba510f5abd86ed955a17562d0f62c41"),
+    ])
+    def test_plot_default_grid(self, capsys, text, digest):
+        code, out, _ = run(capsys, "plot", text)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_plot_envelope_circle(self, capsys):
+        code, out, _ = run(capsys, "plot-envelope", "x1^2 + x2^2 - 1")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "43e2d3ef11edee41818e2509543aab732180198c4f4b6673c114b4743cbad127")
+
+    # The dense cubics are the first three of test_dualize.dense_text(random.Random(4), 3).
+    @pytest.mark.parametrize("text, digest", [
+        (SEC32, "aecaee6c6ce71877bfb016df0e9a420075720aea22392efc2e5ec0b6d65da889"),
+        ("- 2*x1^3 + 1*x1^2*x2^1 - 6*x1^1*x2^2 + 4*x2^3 + 7*x1^2 - 5*x1^1*x2^1 - 7*x2^2"
+         " - 7*x1^1 - 9*x2^1 + 4",
+         "e88dd5abb737696aff05db78aa46ad28592a90dcd471d1648f54656b23d81b74"),
+        ("9*x1^3 + 1*x1^2*x2^1 - 8*x1^1*x2^2 - 2*x2^3 + 8*x1^2 + 9*x1^1*x2^1 + 3*x2^2"
+         " - 1*x1^1 - 4*x2^1 - 6",
+         "021b07f4be94157d5a24faf9ebe741deff318b26b8e2f97fd1fde3925b0ce735"),
+        ("- 1*x1^3 - 3*x1^2*x2^1 - 9*x1^1*x2^2 - 1*x2^3 - 1*x1^2 - 3*x1^1*x2^1 - 4*x2^2"
+         " + 1*x1^1 + 1*x2^1 + 3",
+         "b56451b37ac274405c5d2314259fd79e937b39d3ab5e25cd806a0697e612f07a"),
+    ])
+    def test_verify_100_samples(self, capsys, text, digest):
+        code, out, _ = run(capsys, "verify", "--samples", "100", "--", text)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_plot_transient_memory(self, capsys):
+        # The benchmark's plot-grid workload (bench/) lets peak_rss_mb grow
+        # by at most 10% over the previous commit, and it keeps every pass's
+        # SVG, so a faster plot raises its RSS; holding the whole 257 x 257
+        # grid of values (about 2.3 MB for this curve) would break that
+        # bound.  Marching two columns at a time peaks at about 0.25 MB.
+        argv = ("plot", self.SEC32)
+        run(capsys, *argv)
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1_000_000
 
 
 class TestCommandSurface:

@@ -6,6 +6,7 @@ import pytest
 
 from pardual.dualize import ImplicitCurve, dual_curve, line_dual_point, sample_curve
 from pardual.plot import (
+    _CASES,
     PlaneScene,
     Viewport,
     clip_infinite_line,
@@ -14,11 +15,15 @@ from pardual.plot import (
     trace_implicit,
 )
 from pardual.polyparse import parse
-from pardual.polyring import X1, X2, evaluate_float
+from pardual.polyring import X, X1, X2, Y, evaluate_float
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 CIRCLE = parse("x1^2 + x2^2 - 1")
+SEC32_DUAL = ("23*x^6 + 14*x^5*y + 37*x^4*y^2 - 14*x^3*y^3 + 27*x^2*y^4"
+              " - 20*x^5 - 112*x^4*y + 40*x^3*y^2 - 48*x^2*y^3 + 74*x^4"
+              " + 58*x^3*y + 14*x^2*y^2 + 12*x*y^3 - 86*x^3 - 14*x^2*y"
+              " - 10*x*y^2 - 4*y^3 + 55*x^2 - 4*x*y + 4*y^2 - 18*x + 3")
 VIEW2 = Viewport(-2.0, 2.0, -2.0, 2.0)
 
 
@@ -30,7 +35,58 @@ def circle_dual_scene():
     return scene
 
 
+def reference_trace(p, ax, ay, vp, grid):
+    """Marching squares over the full grid of evaluate_float values, as the
+    trace was computed before it streamed columns through a FloatForm."""
+    xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]
+    ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
+    values = [[evaluate_float(p, {ax: xv, ay: yv}) for yv in ys] for xv in xs]
+
+    def interp(x0, y0, v0, x1, y1, v1):
+        t = v0 / (v0 - v1)
+        return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+
+    segments = []
+    for i in range(grid):
+        for j in range(grid):
+            bl, br = values[i][j], values[i + 1][j]
+            tr, tl = values[i + 1][j + 1], values[i][j + 1]
+            index = (bl < 0) | ((br < 0) << 1) | ((tr < 0) << 2) | ((tl < 0) << 3)
+            edges = {}
+            if (bl < 0) != (br < 0):
+                edges["B"] = interp(xs[i], ys[j], bl, xs[i + 1], ys[j], br)
+            if (br < 0) != (tr < 0):
+                edges["R"] = interp(xs[i + 1], ys[j], br, xs[i + 1], ys[j + 1], tr)
+            if (tl < 0) != (tr < 0):
+                edges["T"] = interp(xs[i], ys[j + 1], tl, xs[i + 1], ys[j + 1], tr)
+            if (bl < 0) != (tl < 0):
+                edges["L"] = interp(xs[i], ys[j], bl, xs[i], ys[j + 1], tl)
+            if index in (5, 10):
+                center = evaluate_float(p, {ax: 0.5 * (xs[i] + xs[i + 1]),
+                                            ay: 0.5 * (ys[j] + ys[j + 1])})
+                if index == 5:
+                    pairs = [("L", "T"), ("B", "R")] if center < 0 else [("L", "B"), ("R", "T")]
+                else:
+                    pairs = [("B", "L"), ("R", "T")] if center < 0 else [("B", "R"), ("T", "L")]
+            else:
+                pairs = _CASES[index]
+            segments.extend((edges[a], edges[b]) for a, b in pairs)
+    return segments
+
+
 class TestTraceImplicit:
+    @pytest.mark.parametrize("text, axes, vp", [
+        ("x1^3 - x1^2 - x2^2 + x2 - 1", (X1, X2), Viewport(-2.9, 3.1, -3.1, 2.9)),
+        ("x1^3 + x2^2 - 3*x1*x2", (X1, X2), Viewport(-1.9, 2.1, -1.9, 2.1)),
+        (SEC32_DUAL, (X, Y), Viewport(-2.95, 3.05, -3.05, 2.95)),
+    ])
+    def test_matches_point_by_point_reference(self, text, axes, vp):
+        # Exact float equality: the streamed columns evaluate bit-identically.
+        # The windows are off the dyadic grid so that powers of the grid
+        # coordinates round; the nodal cubic meets a saddle cell.
+        p = parse(text)
+        assert trace_implicit(p, vp, 64) == reference_trace(p, *axes, vp, 64)
+
     def test_circle_vertex_residuals(self):
         segments = trace_implicit(CIRCLE, VIEW2, 64)
         assert segments

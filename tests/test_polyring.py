@@ -1,17 +1,22 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import all_variable_polynomials, nonzero_polynomials, polynomials
+from pardual.dualize import DegenerateCurveError, ImplicitCurve, dual_curve
 from pardual.polyparse import parse
 from pardual.polyring import (
     ETA,
     PSI,
+    X,
     X1,
     X2,
     X3,
     XI,
+    Y,
+    FloatForm,
     Polynomial,
     content_and_primitive,
     evaluate_exact,
@@ -19,6 +24,7 @@ from pardual.polyring import (
     homogenize,
     mono_degree,
     partial_derivative,
+    sorted_terms,
     substitute,
     total_degree,
     variables,
@@ -238,3 +244,114 @@ class TestRingAxioms:
     @given(all_variable_polynomials)
     def test_variables_subset_of_registry(self, p):
         assert all(0 <= v < 8 for v in variables(p))
+
+
+def reference_line_coefficients(f, fixed_var, fixed_val, free_var):
+    """The scan-line restriction sample_curve used before FloatForm.line."""
+    degree = total_degree(f)
+    coeffs = [0.0] * (degree + 1)
+    for mono, coeff in sorted_terms(f):
+        term = float(coeff)
+        free_exp = 0
+        for var, exp in mono:
+            if var == fixed_var:
+                term *= fixed_val ** exp
+            elif var == free_var:
+                free_exp = exp
+        coeffs[free_exp] += term
+    return coeffs
+
+
+def reference_max_abs_term(p, point):
+    """The residual scale verify used before FloatForm.max_abs_term."""
+    worst = 0.0
+    for mono, coeff in p.terms.items():
+        term = abs(float(coeff))
+        for var, exp in mono:
+            term *= abs(point[var]) ** exp
+        worst = max(worst, term)
+    return worst
+
+
+@st.composite
+def dense_polynomials(draw, axes):
+    """Every monomial of degree <= d in the pair, Fraction coefficients
+    (some zero)."""
+    degree = draw(st.integers(min_value=1, max_value=6))
+    ax, ay = axes
+    terms = {}
+    for total in range(degree + 1):
+        for a in range(total + 1):
+            mono = tuple((v, e) for v, e in ((ax, a), (ay, total - a)) if e)
+            terms[mono] = Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 12)))
+    p = Polynomial(terms)
+    assume(p)
+    return p
+
+
+@st.composite
+def dense_cubic_duals(draw):
+    terms = {}
+    for total in range(4):
+        for a in range(total + 1):
+            mono = tuple((v, e) for v, e in ((X1, a), (X2, total - a)) if e)
+            terms[mono] = draw(st.integers(-9, 9).filter(bool))
+    try:
+        return dual_curve(ImplicitCurve(Polynomial(terms))).g
+    except DegenerateCurveError:
+        assume(False)
+
+
+# 0.0, negative values and the edges of the default window -3..3
+coordinates = st.one_of(st.sampled_from([0.0, -0.0, -3.0, 3.0, -1.0, 1.0, -0.5]),
+                        st.floats(-3.0, 3.0), st.floats(-40.0, 40.0))
+point_lists = st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=8)
+axis_pairs = st.sampled_from([(X1, X2), (X, Y)])
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestFloatForm:
+    """FloatForm must reproduce the float evaluation it replaced bit for
+    bit (signs of zero included): a rounding difference can flip a
+    near-zero sign in marching squares and move an SVG vertex."""
+
+    def check(self, p, axes, points):
+        ax, ay = axes
+        form = FloatForm(p, ax, ay)
+        for x, y in points:
+            expected = evaluate_float(p, {ax: x, ay: y})
+            column = 0.0
+            for coeff, b in form.restrict(ax, x):
+                column += coeff * y ** b
+            assert bits([form(x, y), column]) == bits([expected, expected])
+            assert (bits([form.max_abs_term(x, y)])
+                    == bits([reference_max_abs_term(p, {ax: x, ay: y})]))
+            for fixed, free, value in ((ax, ay, x), (ay, ax, y)):
+                assert (bits(form.line(fixed, value))
+                        == bits(reference_line_coefficients(p, fixed, value, free)))
+
+    @given(axis_pairs.flatmap(lambda axes: st.tuples(st.just(axes), dense_polynomials(axes))),
+           point_lists)
+    def test_dense_rational_polynomials(self, axes_and_p, points):
+        axes, p = axes_and_p
+        self.check(p, axes, points)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dense_cubic_duals(), point_lists)
+    def test_duals_of_dense_cubics(self, g, points):
+        self.check(g, (X, Y), points)
+
+    def test_zero_polynomial(self):
+        form = FloatForm(Polynomial.zero(), X1, X2)
+        assert form(1.5, -2.0) == 0.0 and form.line(X1, 1.5) == [0.0]
+
+    def test_foreign_variable_rejected(self):
+        with pytest.raises(ValueError):
+            FloatForm(parse("x1 + y"), X1, X2)
+
+    def test_axes_in_registry_order(self):
+        with pytest.raises(ValueError):
+            FloatForm(parse("x1 + x2"), X2, X1)
