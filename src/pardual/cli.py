@@ -4,7 +4,9 @@ Commands: dual, conic-dual, verify, plot, plot-envelope, eval.  Results go
 to stdout as "key: value" lines (or SVG text), diagnostics to stderr.
 Exit codes: 0 success, 1 verification above threshold, 2 bad input,
 3 degenerate curve, 4 degree below 2, 5 no verifiable samples,
-6 unwritable output path.
+6 unwritable output path; codes 3 to 5 are the exit_code of the error
+class raised.  Each command loads only the modules it runs: a handler
+imports dualize or plot once its input parses.
 
 The polynomial argument is read from the first positional, or from stdin
 when it is "-" (first non-comment line).  Use "--" before positional
@@ -19,23 +21,8 @@ import math
 import sys
 from fractions import Fraction
 
-from .dualize import (
-    DEFAULT_SPACING,
-    ConicMatrix,
-    DegenerateCurveError,
-    DegreeError,
-    ImplicitCurve,
-    NoSamplesError,
-    RESIDUAL_THRESHOLD,
-    conic_dual_matrix,
-    dual_curve,
-    sample_curve,
-    verify_duality,
-)
-from .plot import PlaneScene, Viewport, envelope_scene, render_svg, trace_implicit
 from .polyparse import ParseError, parse, print_poly
-from .polyring import VAR_BY_NAME, X, Y, total_degree
-from . import polyring
+from .polyring import DEFAULT_SPACING, VAR_BY_NAME, X, Y, evaluate_exact, total_degree
 
 DEFAULT_WINDOW = (-3.0, 3.0, -3.0, 3.0)
 DEFAULT_GRID = 256
@@ -82,8 +69,11 @@ def _read_poly_text(arg: str) -> str:
     raise ParseError("no polynomial on stdin", 1)
 
 
-def _curve_from(arg: str) -> ImplicitCurve:
-    return ImplicitCurve(parse(_read_poly_text(arg)))
+def _curve_from(arg: str):
+    # handlers parse before importing dualize or plot: bad input loads neither
+    poly = parse(_read_poly_text(arg))
+    from .dualize import ImplicitCurve
+    return ImplicitCurve(poly)
 
 
 def _write_output(text: str, path: str | None) -> int:
@@ -100,7 +90,9 @@ def _write_output(text: str, path: str | None) -> int:
 
 
 def cmd_dual(args) -> int:
-    dual = dual_curve(_curve_from(args.poly))
+    curve = _curve_from(args.poly)
+    from .dualize import dual_curve
+    dual = dual_curve(curve)
     print(f"dual: {print_poly(dual.g)}")
     print(f"source_degree: {dual.source_degree}")
     print(f"dual_degree: {total_degree(dual.g)}")
@@ -114,6 +106,7 @@ def cmd_conic_dual(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: malformed rational: {exc}", file=sys.stderr)
         return 2
+    from .dualize import ConicMatrix, conic_dual_matrix
     source = ConicMatrix.of(*values)
     if not source.is_degree_two():
         print("error: A1, A2, A4 all zero: not a degree-2 curve", file=sys.stderr)
@@ -127,6 +120,7 @@ def cmd_conic_dual(args) -> int:
 
 def cmd_verify(args) -> int:
     curve = _curve_from(args.poly)
+    from .dualize import RESIDUAL_THRESHOLD, dual_curve, sample_curve, verify_duality
     dual = dual_curve(curve)
     samples = sample_curve(curve, args.window, args.samples)
     report = verify_duality(curve, dual, samples)
@@ -136,13 +130,9 @@ def cmd_verify(args) -> int:
     return 0 if report.max_residual < RESIDUAL_THRESHOLD else 1
 
 
-def _panel_viewport(window) -> Viewport:
-    xmin, xmax, ymin, ymax = window
-    return Viewport(xmin, xmax, ymin, ymax, PANEL_PX, PANEL_PX)
-
-
-def two_panel_scene(window, source_segments, dual_segments) -> PlaneScene:
+def two_panel_scene(window, source_segments, dual_segments):
     """Source curve on the left, dual on the right, sharing one y-range."""
+    from .plot import PlaneScene, Viewport
     xmin, xmax, ymin, ymax = window
     span = xmax - xmin
     gap = PANEL_GAP_FRACTION * span
@@ -166,8 +156,10 @@ def two_panel_scene(window, source_segments, dual_segments) -> PlaneScene:
 
 def cmd_plot(args) -> int:
     curve = _curve_from(args.poly)
+    from .dualize import dual_curve
+    from .plot import Viewport, render_svg, trace_implicit
     dual = dual_curve(curve)
-    panel = _panel_viewport(args.window)
+    panel = Viewport(*args.window, PANEL_PX, PANEL_PX)
     source_segments = trace_implicit(curve.f, panel, args.grid)
     dual_segments = trace_implicit(dual.g, panel, args.grid)
     scene = two_panel_scene(args.window, source_segments, dual_segments)
@@ -176,7 +168,8 @@ def cmd_plot(args) -> int:
 
 def cmd_plot_envelope(args) -> int:
     curve = _curve_from(args.poly)
-    scene = envelope_scene(curve, args.samples, _panel_viewport(args.window),
+    from .plot import Viewport, envelope_scene, render_svg
+    scene = envelope_scene(curve, args.samples, Viewport(*args.window, PANEL_PX, PANEL_PX),
                            spacing=args.spacing)
     return _write_output(render_svg(scene), args.out)
 
@@ -195,7 +188,7 @@ def cmd_eval(args) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             print(f"error: malformed rational: {exc}", file=sys.stderr)
             return 2
-    print(f"value: {polyring.evaluate_exact(poly, point)}")
+    print(f"value: {evaluate_exact(poly, point)}")
     return 0
 
 
@@ -247,21 +240,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DegenerateCurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NoSamplesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

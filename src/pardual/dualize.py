@@ -13,12 +13,12 @@ the conic special case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .elimination import as_binary_form, resultant
 from .polyring import (
+    DEFAULT_SPACING,
     VAR_NAMES,
     X,
     X1,
@@ -40,7 +40,6 @@ F_TOL_REL = 1e-12          # on-curve residual, relative to local term scale
 SINGULAR_TOL = 1e-9        # minimum gradient norm for a usable sample
 DENOM_TOL = 1e-9           # slope-1 tangents map to ideal points
 RESIDUAL_THRESHOLD = 1e-6  # verification pass mark
-DEFAULT_SPACING = 1.0
 
 _SAMPLES_PER_LINE = 64
 _BISECT_STEPS = 80
@@ -49,10 +48,12 @@ _NEWTON_STEPS = 5
 
 class DegreeError(ValueError):
     """Input degree outside what the operation supports."""
+    exit_code = 4
 
 
 class DegenerateCurveError(ValueError):
     """The elimination collapsed: reducible input or shared partial factor."""
+    exit_code = 3
 
 
 class IdealPointError(ValueError):
@@ -61,6 +62,7 @@ class IdealPointError(ValueError):
 
 class NoSamplesError(ValueError):
     """Verification had nothing to test."""
+    exit_code = 5
 
 
 class PlanePoint(NamedTuple):
@@ -96,8 +98,7 @@ class ImplicitCurve:
         return f"ImplicitCurve({self.f!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class DualCurve:
+class DualCurve(NamedTuple):
     """Primitive, positive-leading image polynomial in (x, y)."""
 
     g: Polynomial
@@ -105,17 +106,31 @@ class DualCurve:
     psi_power_removed: int
 
 
-@dataclass(frozen=True)
 class CurveSamples:
-    points: tuple[tuple[float, float], ...]
-    gradients: tuple[tuple[float, float], ...]
+    """Points on f = 0 and the gradient (f1, f2) at each; len() counts points."""
+
+    __slots__ = ("points", "gradients")
+
+    def __init__(self, points: tuple[tuple[float, float], ...],
+                 gradients: tuple[tuple[float, float], ...]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "gradients", gradients)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.points)
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CurveSamples) and self.points == other.points
+                and self.gradients == other.gradients)
 
-@dataclass(frozen=True)
-class VerifyReport:
+
+class VerifyReport(NamedTuple):
     max_residual: float
     tested: int
     skipped: int
@@ -175,8 +190,7 @@ def _image_monomial(a: int, b: int) -> Monomial:
     return _IMAGE_MONOMIALS.setdefault((a, b), tuple(p for p in ((X, a), (Y, b)) if p[1]))
 
 
-@dataclass(frozen=True)
-class ConicMatrix:
+class ConicMatrix(NamedTuple):
     """Symmetric matrix (a1 a4 a5; a4 a2 a6; a5 a6 a3) of a conic
     a1*u^2 + 2*a4*u*v + 2*a5*u + a2*v^2 + 2*a6*v + a3.
 

@@ -19,11 +19,10 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .polyring import (
     ETA,
@@ -42,26 +41,30 @@ from .polyring import (
 FORM_VARS = frozenset({ETA, XI, PSI, X, Y})
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    """Homogeneous form in (x1, x2); coeffs[i] multiplies x1^i * x2^(degree-i)."""
-
+class _BinaryFormFields(NamedTuple):
     degree: int
     coeffs: tuple[Polynomial, ...]
 
-    def __post_init__(self):
-        if self.degree < 0:
+
+class BinaryForm(_BinaryFormFields):
+    """Homogeneous form in (x1, x2); coeffs[i] multiplies x1^i * x2^(degree-i)."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, coeffs: tuple[Polynomial, ...]):
+        if degree < 0:
             raise ValueError("binary form degree must be non-negative")
-        if len(self.coeffs) != self.degree + 1:
+        if len(coeffs) != degree + 1:
             raise ValueError("binary form needs degree + 1 coefficients")
-        if not any(self.coeffs):
+        if not any(coeffs):
             raise ValueError("binary form must have a nonzero coefficient")
-        for coeff in self.coeffs:
+        for coeff in coeffs:
             stray = variables(coeff) - FORM_VARS
             if stray:
                 names = ", ".join(VAR_NAMES[v] for v in sorted(stray))
                 raise ValueError(
                     f"form coefficients may only use eta, xi, psi, x, y (found {names})")
+        return super().__new__(cls, degree, coeffs)
 
 
 def as_binary_form(p: Polynomial) -> BinaryForm:

@@ -11,17 +11,16 @@ mathematical orientation and all coordinates printed to three decimals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .dualize import DEFAULT_SPACING, ImplicitCurve, sample_curve
-from .polyring import X, X1, X2, Y, FloatForm, Polynomial, variables
+from .dualize import ImplicitCurve, sample_curve
+from .polyring import DEFAULT_SPACING, X, X1, X2, Y, FloatForm, Polynomial, variables
 
 Point = tuple[float, float]
 Segment = tuple[Point, Point]
 
 
-@dataclass(frozen=True)
-class Viewport:
+class _ViewportFields(NamedTuple):
     xmin: float
     xmax: float
     ymin: float
@@ -29,26 +28,40 @@ class Viewport:
     width_px: int = 480
     height_px: int = 480
 
-    def __post_init__(self):
+
+class Viewport(_ViewportFields):
+    """A window of the plane drawn onto width_px x height_px pixels."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("viewport must have positive extent")
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError("pixel dimensions must be positive")
+        for span, px in ((self.xmax - self.xmin, self.width_px),
+                         (self.ymax - self.ymin, self.height_px)):
+            if not (math.isfinite(span) and math.isfinite(px / span)):
+                raise ValueError(f"window {self.window()} has a span or pixel scale "
+                                 "that is not finite")
+        return self
 
     def window(self) -> tuple[float, float, float, float]:
         return (self.xmin, self.xmax, self.ymin, self.ymax)
 
 
-@dataclass
-class _Layer:
+class _Layer(NamedTuple):
     data: list[Segment]
     style: str
 
 
-@dataclass
 class PlaneScene:
-    viewport: Viewport
-    layers: list[_Layer] = field(default_factory=list)
+    __slots__ = ("viewport", "layers")
+
+    def __init__(self, viewport: Viewport, layers: list[_Layer] | None = None):
+        self.viewport = viewport
+        self.layers = [] if layers is None else layers
 
     def add_segments(self, segments: list[Segment], style: str = "thin") -> None:
         for segment in segments:
@@ -240,5 +253,5 @@ def render_svg(scene: PlaneScene) -> str:
             pa, pb = to_px(a), to_px(b)
             parts.append(f"M {_fmt(pa[0])} {_fmt(pa[1])} L {_fmt(pb[0])} {_fmt(pb[1])}")
         lines.append(f'<path class="{layer.style}" d="{" ".join(parts)}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append("</svg>\n")  # the final newline rides here: one join, no copy
+    return "\n".join(lines)

@@ -27,6 +27,10 @@ VAR_NAMES = ("x1", "x2", "x3", "eta", "xi", "psi", "x", "y")
 VAR_BY_NAME = {name: index for index, name in enumerate(VAR_NAMES)}
 NUM_VARS = len(VAR_NAMES)
 
+# Distance between the parallel axes x1 and x2 in the image plane (x, y):
+# the image map eta -> 1-x, xi -> x of dualize.dual_curve puts them at x = 0, 1.
+DEFAULT_SPACING = 1.0
+
 # A monomial: ((VarId, exponent), ...) sorted by VarId, all exponents > 0.
 Monomial = tuple
 ONE_MONOMIAL: Monomial = ()

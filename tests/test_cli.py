@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -13,6 +17,7 @@ from pardual.polyparse import parse
 from pardual.polyring import FloatForm, content_and_primitive, evaluate_float, X, Y
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -317,6 +322,15 @@ class TestCommandSurface:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("command", ["plot", "plot-envelope"])
+    @pytest.mark.parametrize("window", ["0,1e-320,0,1", "0,1,0,1e-320", "-1e308,1e308,-1,1"])
+    def test_nonfinite_pixel_scale_exit_2(self, command, window, capsys):
+        # finite bounds whose span, or pixels per unit, overflows
+        code, out, err = run(capsys, command, "x1^2 + x2^2 - 1", f"--window={window}")
+        assert code == 2
+        assert out == ""
+        assert "window (" in err and "not finite" in err
+
     def test_degree_budget_exit_2(self, capsys):
         code, out, err = run(capsys, "dual", "(x1^64)^2")
         assert code == 2
@@ -347,3 +361,59 @@ class TestEvalCommand:
     def test_unknown_variable(self, capsys):
         code, _, err = run(capsys, "eval", "x1", "--at", "zebra=1")
         assert code == 2
+
+
+# Runs one command as `python -m pardual.cli` does, or imports the package
+# when the command is null, and reports the modules that step loaded.
+MODULE_PROBE = """
+import json, runpy, sys
+before = set(sys.modules)
+command = json.loads(sys.argv[1])
+code = 0
+if command is None:
+    import pardual
+else:
+    sys.argv = ["pardual", *command]
+    try:
+        runpy.run_module("pardual.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+sys.stdout.flush()
+print(json.dumps([code, sorted(set(sys.modules) - before)]), file=sys.stderr)
+"""
+
+
+def modules_loaded_by(command):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, json.dumps(command)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    return code, set(modules)
+
+
+class TestModuleBudget:
+    """Each command loads only the modules it runs."""
+
+    CIRCLE = "x1^2 + x2^2 - 1"
+
+    @pytest.mark.parametrize("command, exit_code, needs_dual", [
+        pytest.param(["dual", "--", CIRCLE], 0, True, id="dual"),
+        pytest.param(["conic-dual", "1", "1", "-1", "0", "0", "0"], 0, True, id="conic-dual"),
+        pytest.param(["verify", "--samples", "10", "--", CIRCLE], 0, True, id="verify"),
+        pytest.param(["eval", CIRCLE, "--at", "x1=3/5,x2=4/5"], 0, False, id="eval"),
+        pytest.param(["dual", "--", "x1^^2"], 2, False, id="parse-error"),
+    ])
+    def test_command(self, command, exit_code, needs_dual):
+        code, loaded = modules_loaded_by(command)
+        assert code == exit_code
+        assert "pardual.polyparse" in loaded
+        assert not loaded & {"dataclasses", "pardual.plot"}
+        dual_modules = {"pardual.dualize", "pardual.elimination"}
+        assert loaded >= dual_modules if needs_dual else not loaded & dual_modules
+
+    def test_import_package(self):
+        code, loaded = modules_loaded_by(None)
+        assert code == 0
+        assert "pardual" in loaded
+        assert not {name for name in loaded if name.startswith("pardual.")}

@@ -1,0 +1,78 @@
+"""The package surface: the names pardual exports and the records it returns."""
+
+import importlib
+
+import pytest
+
+import pardual
+from pardual.dualize import ConicMatrix, CurveSamples, DualCurve, VerifyReport
+from pardual.elimination import BinaryForm
+from pardual.plot import Viewport
+from pardual.polyparse import parse
+
+# Every exported name and the module that defines it.
+HOMES = {
+    "pardual.dualize": [
+        "ConicMatrix", "CurveSamples", "DegenerateCurveError", "DegreeError",
+        "DualCurve", "IdealPointError", "ImplicitCurve", "NoSamplesError",
+        "PlanePoint", "VerifyReport", "conic_dual_matrix", "dual_curve",
+        "line_dual_point", "point_image_on_dual", "point_to_polyline",
+        "sample_curve", "verify_duality",
+    ],
+    "pardual.polyparse": ["ParseError", "parse", "print_poly"],
+    "pardual.polyring": ["Polynomial"],
+}
+EXPORTS = [(home, name) for home, names in HOMES.items() for name in names]
+
+
+def test_all_lists_every_export():
+    assert pardual.__all__ == sorted(name for _, name in EXPORTS)
+
+
+@pytest.mark.parametrize("home, name", EXPORTS)
+def test_name_resolves_to_home_object(home, name):
+    assert getattr(pardual, name) is getattr(importlib.import_module(home), name)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from pardual import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == pardual.__all__
+    for home, name in EXPORTS:
+        assert namespace[name] is getattr(importlib.import_module(home), name)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pardual.no_such_name
+    with pytest.raises(ImportError):
+        exec("from pardual import no_such_name", {})
+
+
+def test_dir_lists_exports():
+    assert set(pardual.__all__) <= set(dir(pardual))
+
+
+@pytest.mark.parametrize("record, field", [
+    (DualCurve(parse("x^2 - y"), 2, 2), "g"),
+    (CurveSamples(((0.0, 1.0),), ((0.0, 2.0),)), "points"),
+    (VerifyReport(0.0, 1, 0), "tested"),
+    (ConicMatrix.of(1, 1, -1, 0, 0, 0), "a1"),
+    (BinaryForm(1, (parse("x"), parse("y"))), "degree"),
+    (Viewport(-1.0, 1.0, -1.0, 1.0), "xmin"),
+])
+def test_frozen_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def test_record_constructors_and_defaults():
+    vp = Viewport(xmin=-1.0, xmax=1.0, ymin=-2.0, ymax=2.0)
+    assert (vp.width_px, vp.height_px) == (480, 480)
+    assert Viewport(-1.0, 1.0, -2.0, 2.0, 100, 50).window() == (-1.0, 1.0, -2.0, 2.0)
+    form = BinaryForm(degree=1, coeffs=(parse("x"), parse("y")))
+    assert form.coeffs[1] == parse("y")
+    samples = CurveSamples(points=((0.0, 1.0), (1.0, 0.0)), gradients=((0.0, 2.0), (2.0, 0.0)))
+    assert len(samples) == 2
+    assert not CurveSamples((), ())
