@@ -2,7 +2,8 @@
 
 Commands: dual, conic-dual, verify, plot, plot-envelope, eval.  Results go
 to stdout as "key: value" lines (or SVG text), diagnostics to stderr.
-Exit codes: 0 success, 1 verification above threshold, 2 bad input,
+Exit codes: 0 success, 1 verification above threshold, 2 bad input
+(including a window or coefficient too large for float evaluation),
 3 degenerate curve, 4 degree below 2, 5 no verifiable samples,
 6 unwritable output path; codes 3 to 5 are the exit_code of the error
 class raised.  Each command loads only the modules it runs: a handler
@@ -243,6 +244,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
+    except OverflowError as exc:
+        # only the float views overflow, and every command with one reads a window
+        bounds = ",".join(f"{v:g}" for v in args.window)
+        print(f"error: float evaluation over window {bounds} overflowed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

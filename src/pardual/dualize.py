@@ -213,11 +213,6 @@ class ConicMatrix(NamedTuple):
     def is_degree_two(self) -> bool:
         return bool(self.a1 or self.a2 or self.a4)
 
-    def determinant(self) -> Fraction:
-        return (self.a1 * (self.a2 * self.a3 - self.a6 ** 2)
-                - self.a4 * (self.a4 * self.a3 - self.a6 * self.a5)
-                + self.a5 * (self.a4 * self.a6 - self.a2 * self.a5))
-
     def polynomial(self, vu: int, vv: int) -> Polynomial:
         u = Polynomial.variable(vu)
         v = Polynomial.variable(vv)

@@ -2,19 +2,29 @@
 polynomials in the gradient directions (eta, xi, psi) or in the image
 coordinates (x, y).
 
-The matrix layout matches the classical display: for forms F of degree n
-and G of degree m there are m shifted rows of F's coefficients followed by
-n shifted rows of G's, each row running from the x1^deg coefficient down
-to the x2^deg one.
+The resultant is the determinant of the classical Sylvester matrix: for
+forms F of degree n and G of degree m, m shifted rows of F's coefficients
+followed by n shifted rows of G's, each row running from the x1^deg
+coefficient down to the x2^deg one.  The degrees are the formal ones, so a
+vanishing x1^deg coefficient still counts.
 
 The resultant is not expanded symbolically; it is evaluated and
 interpolated.  Its degree in each variable v the coefficients use is at
 most D_v = m*maxdeg_v(F) + n*maxdeg_v(G), so its values on a tensor grid
 of D_v + 1 consecutive integers per variable, centred on zero to keep them
-small, determine it.  At each grid point the Sylvester matrix has integer
-entries and fraction-free Bareiss elimination takes its determinant
-exactly; the values are then interpolated one axis at a time in integer
-arithmetic.
+small, determine it.  At each grid point the two forms have integer
+coefficients, and their resultant is taken without any matrix by the
+subresultant polynomial remainder sequence in O(nm) integer operations
+(W. S. Brown and J. F. Traub, On Euclid's algorithm and the theory of
+subresultants, JACM 18, 1971).  The PRS works with actual degrees, so the
+formal ones are restored first: if both x1^deg coefficients vanish, the
+forms share the root x2 = 0 and the resultant is 0; if only F's does,
+Res(F, G) = (-1)^(nm) Res(G, F); and with lc(F) nonzero, each of the k
+vanishing leading coefficients of G contributes a factor lc(F), since
+Res(F, G) = lc(F)^m * prod of G over the roots of F.  The values are then
+interpolated one axis at a time in integer arithmetic.  Every division on
+the way is exact by the theory, and one that leaves a remainder raises
+ArithmeticError.
 """
 
 from __future__ import annotations
@@ -88,73 +98,22 @@ def as_binary_form(p: Polynomial) -> BinaryForm:
     return BinaryForm(degree, coeffs)
 
 
-Matrix = tuple[tuple[Polynomial, ...], ...]
-
-
-def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> Matrix:
-    """(n+m) x (n+m) Sylvester matrix, F rows first, descending powers."""
-    n, m = f.degree, g.degree
-    if n < 1 or m < 1:
-        raise ValueError("Sylvester matrix needs forms of degree at least 1")
-    size = n + m
-    zero = Polynomial()
-    rows = [[zero] * size for _ in range(size)]
-    for r in range(m):
-        for j in range(n + 1):
-            rows[r][r + j] = f.coeffs[n - j]
-    for s in range(n):
-        for j in range(m + 1):
-            rows[m + s][s + j] = g.coeffs[m - j]
-    return tuple(tuple(row) for row in rows)
-
-
-def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination: every interior division is exact, so it is taken with //.
-    Pivot by swapping in the first row below with a nonzero entry."""
-    rows = [list(row) for row in matrix]
-    size = len(rows)
-    sign = 1
-    previous = 1
-    for k in range(size - 1):
-        if not rows[k][k]:
-            for r in range(k + 1, size):
-                if rows[r][k]:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, size):
-            row = rows[i]
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (pivot * row[j] - lead * pivot_row[j]) // previous
-        previous = pivot
-    return sign * rows[size - 1][size - 1]
-
-
 def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
     """Determinant of the Sylvester matrix; identically zero exactly when
     the forms share a common nonconstant factor."""
     n, m = f.degree, g.degree
+    if n < 1 or m < 1:
+        raise ValueError("Sylvester matrix needs forms of degree at least 1")
     # Rational forms are scaled to integer ones: Res(cF, dG) = c^m d^n Res(F, G).
     f_scale, g_scale = _denominator(f), _denominator(g)
-    matrix = sylvester_matrix(_scaled(f, f_scale), _scaled(g, g_scale))
+    coeffs = _scaled(f, f_scale).coeffs + _scaled(g, g_scale).coeffs
 
-    used = sorted(frozenset().union(*map(variables, f.coeffs + g.coeffs)))
+    used = sorted(frozenset().union(*map(variables, coeffs)))
     bounds = [m * _max_degree(f, v) + n * _max_degree(g, v) for v in used]
     axes = [range(-(bound // 2), bound - bound // 2 + 1) for bound in bounds]
 
-    # Each distinct entry, zero included, is evaluated once on the whole
-    # grid; the matrix at a grid point picks its entries out by index.
-    entries: dict[Polynomial, int] = {}
-    template = [[entries.setdefault(p, len(entries)) for p in row] for row in matrix]
-    columns = [_grid_values(_integer_terms(p, used), axes) for p in entries]
-    values = [determinant([[point[i] for i in row] for row in template])
-              for point in zip(*columns)]
+    columns = [_grid_values(_integer_terms(p, used), axes) for p in coeffs]
+    values = [_integer_resultant(point[:n + 1], point[n + 1:]) for point in zip(*columns)]
     _interpolate_grid(values, axes)
     divisor = f_scale ** m * g_scale ** n
     return Polynomial({
@@ -162,6 +121,71 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
         for exps, value in zip(product(*(range(len(axis)) for axis in axes)), values)
         if value
     })
+
+
+def _integer_resultant(f: Sequence[int], g: Sequence[int]) -> int:
+    """Sylvester determinant of integer forms with ascending coefficients
+    f and g, at their formal degrees len - 1 (both at least 1)."""
+    n, m = len(f) - 1, len(g) - 1
+    sign = 1
+    if not f[n]:
+        if not g[m]:
+            return 0  # a shared root at x2 = 0: the first column is zero
+        f, g, n, m = g, f, m, n
+        sign = -1 if n * m % 2 else 1
+    b = g[::-1]
+    k = 0
+    while not b[k]:
+        k += 1
+        if k > m:
+            return 0
+    return sign * f[n] ** k * _subresultant_prs(f[::-1], b[k:])
+
+
+def _subresultant_prs(a: Sequence[int], b: Sequence[int]) -> int:
+    """Resultant of integer polynomials with descending coefficients and
+    nonzero leading ones, by the subresultant polynomial remainder sequence
+    (Brown & Traub 1971): pseudo-remainders divided by g*h^delta, with
+    h updated to g^delta / h^(delta-1)."""
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da * db % 2:
+            sign = -sign
+        lead = b[0]
+        tail = b[1:]
+        r = a
+        for _ in range(delta + 1):
+            q = r[0]
+            r = [lead * x - q * y for x, y in zip(r[1:], tail)] + [lead * x for x in r[db + 1:]]
+        while not r[0]:
+            del r[0]
+            if not r:
+                return 0
+        a, b = b, _exact_quotients(r, g * h ** delta)
+        g = lead
+        if delta:
+            h = _exact_quotients([g ** delta], h ** (delta - 1))[0]
+    da = len(a) - 1
+    return sign * _exact_quotients([b[0] ** da], h ** (da - 1))[0]
+
+
+def _exact_quotients(values: list[int], divisor: int) -> list[int]:
+    """values // divisor, raising if any division leaves a remainder."""
+    if divisor == 1:
+        return values
+    quotients = []
+    for value in values:
+        quotient, remainder = divmod(value, divisor)
+        if remainder:
+            raise ArithmeticError(f"inexact division of {value} by {divisor}")
+        quotients.append(quotient)
+    return quotients
 
 
 def _max_degree(form: BinaryForm, var: int) -> int:
@@ -247,5 +271,4 @@ def _interpolate(values: list[int], start: int) -> list[int]:
         poly = ([diffs[k] * weight - node * poly[0]]
                 + [poly[i - 1] - node * poly[i] for i in range(1, len(poly))]
                 + [poly[-1]])
-    scale = factorial(d)
-    return [c // scale for c in poly]
+    return _exact_quotients(poly, factorial(d))

@@ -82,10 +82,6 @@ class Polynomial:
         self._terms = data
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def constant(cls, value: Coefficient) -> "Polynomial":
         return cls({ONE_MONOMIAL: value})
 

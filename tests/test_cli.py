@@ -331,6 +331,21 @@ class TestCommandSurface:
         assert out == ""
         assert "window (" in err and "not finite" in err
 
+    @pytest.mark.parametrize("command, text, window", [
+        ("plot", "x1^2 + x2^2 - 1", "-1e200,1e200,-1,1"),
+        ("verify", "x1^2 + x2^2 - 1", "-1e308,0.5e308,-1,1"),
+        ("plot-envelope", "x1^2 + x2^2 - 1", "-1e308,0.5e308,-1,1"),
+        ("plot", f"{10 ** 400}*x1^2 + x2^2 - 1", "-3,3,-3,3"),
+    ])
+    def test_float_overflow_exit_2(self, command, text, window, capsys):
+        # finite bounds whose powers, or a coefficient, overflow a float
+        code, out, err = run(capsys, command, text, f"--window={window}")
+        assert code == 2
+        assert out == ""
+        bounds = ",".join(f"{float(v):g}" for v in window.split(","))
+        assert err.startswith(f"error: float evaluation over window {bounds} overflowed")
+        assert "Traceback" not in err
+
     def test_degree_budget_exit_2(self, capsys):
         code, out, err = run(capsys, "dual", "(x1^64)^2")
         assert code == 2

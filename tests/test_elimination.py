@@ -6,14 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import polynomials
-from pardual.elimination import (
-    BinaryForm,
-    as_binary_form,
-    determinant,
-    resultant,
-    sylvester_matrix,
-)
+from helpers import determinant, polynomials, sylvester_matrix
+from pardual.elimination import BinaryForm, _interpolate, as_binary_form, resultant
 from pardual.polyparse import parse
 from pardual.polyring import (
     ETA,
@@ -93,7 +87,7 @@ class TestAsBinaryForm:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            as_binary_form(Polynomial.zero())
+            as_binary_form(Polynomial())
 
 
 class TestSylvesterMatrix:
@@ -117,7 +111,7 @@ class TestSylvesterMatrix:
         f = BinaryForm(2, (c3, 2 * c2, 3 * c1))
         g = BinaryForm(2, (3 * c4, 2 * c3, c2))
         m = sylvester_matrix(f, g)
-        zero = Polynomial.zero()
+        zero = Polynomial()
         assert m == (
             (3 * c1, 2 * c2, c3, zero),
             (zero, 3 * c1, 2 * c2, c3),
@@ -180,11 +174,66 @@ class TestDeterminant:
         assert determinant(rows) == leibniz(rows)
 
 
+def integer_rows(f, g):
+    """The Sylvester matrix of forms with constant coefficients, as integers."""
+    return [[int(p.terms.get((), 0)) for p in row] for row in sylvester_matrix(f, g)]
+
+
+class TestNodeKernel:
+    """Forms with constant coefficients take a single node, so resultant is
+    the subresultant PRS and its formal-degree rule alone."""
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_prs_matches_sylvester_determinant(self, n, m, data):
+        # zeros are frequent: leading ones put the formal degree above the
+        # actual one, on one side or both; trailing ones give a root x1 = 0
+        entry = st.one_of(st.just(0), st.integers(-50, 50))
+        fc = data.draw(st.lists(entry, min_size=n + 1, max_size=n + 1).filter(any))
+        gc = data.draw(st.lists(entry, min_size=m + 1, max_size=m + 1).filter(any))
+        f, g = constant_form(*fc), constant_form(*gc)
+        rows = integer_rows(f, g)
+        expected = determinant(rows)
+        if n + m <= 4:
+            assert expected == leibniz(rows)
+        assert resultant(f, g) == expected
+
+    @pytest.mark.parametrize("fc, gc", [
+        ((1, 2, 0), (3, 1)),        # lc(F) = 0, odd n*m: the swap changes the sign
+        ((1, 2, 0), (3, 1, 1)),     # lc(F) = 0, even n*m
+        ((1, 2), (3, 1, 0, 0)),     # two leading zeros of G
+        ((1, 0), (5, 0)),           # both leading coefficients zero
+        ((0, 0, 4), (0, 3)),        # trailing zeros: a shared root x1 = 0
+        ((2, 0, 0), (0, 0, 0, 5)),  # actual degrees 0 and 3
+        ((7, 0, 0), (0, 0, 0, 0, 3)),
+    ])
+    def test_formal_degree_rule(self, fc, gc):
+        f, g = constant_form(*fc), constant_form(*gc)
+        assert resultant(f, g) == leibniz(integer_rows(f, g))
+
+    def test_form_vanishing_at_a_node(self):
+        # F = x*x1 + x*x2 is identically zero at the node x = 0
+        f = BinaryForm(1, (parse("x"), parse("x")))
+        g = BinaryForm(1, (parse("1"), parse("2")))
+        assert resultant(f, g) == leibniz(sylvester_matrix(f, g)) == parse("-x")
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="degree at least 1"):
+            resultant(BinaryForm(0, (parse("1"),)), as_binary_form(parse("x1")))
+
+    def test_inexact_division_raises(self):
+        # t*(t - 1)/2 takes the values 0, 0, 1 at 0, 1, 2 but has no integer
+        # coefficients: the division by 2! leaves a remainder
+        assert _interpolate([0, 1, 4], 0) == [0, 0, 1]
+        with pytest.raises(ArithmeticError):
+            _interpolate([0, 0, 1], 0)
+
+
 class TestResultant:
     def test_shared_factor_vanishes(self):
         f = as_binary_form(parse("(x1 - x2)*(x1 + x2)"))
         g = as_binary_form(parse("(x1 - x2)*(x1 + 2*x2)"))
-        assert resultant(f, g) == Polynomial.zero()
+        assert resultant(f, g) == Polynomial()
 
     def test_coprime_linear(self):
         r = resultant(as_binary_form(parse("x1")), as_binary_form(parse("x2")))
@@ -203,7 +252,7 @@ class TestResultant:
             extra_f = [(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(2)]
             extra_g = [(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(2)]
             assert resultant(form_product([shared] + extra_f),
-                             form_product([shared] + extra_g)) == Polynomial.zero()
+                             form_product([shared] + extra_g)) == Polynomial()
 
     def test_coprime_nonzero(self):
         rng = random.Random(99)
@@ -215,7 +264,7 @@ class TestResultant:
                 continue  # a repeated projective root would be a shared factor
             f = form_product(roots[:2])
             g = form_product(roots[2:])
-            assert resultant(f, g) != Polynomial.zero()
+            assert resultant(f, g) != Polynomial()
             count += 1
 
     def test_multiplicativity(self):

@@ -1,6 +1,9 @@
 """The package surface: the names pardual exports and the records it returns."""
 
+import ast
 import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +79,19 @@ def test_record_constructors_and_defaults():
     samples = CurveSamples(points=((0.0, 1.0), (1.0, 0.0)), gradients=((0.0, 2.0), (2.0, 0.0)))
     assert len(samples) == 2
     assert not CurveSamples((), ())
+
+
+def test_runtime_imports_only_the_standard_library():
+    # every import in the package, local ones included, is of pardual itself
+    # or of a standard-library module
+    imported = set()
+    for path in sorted(Path(pardual.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module))
+    assert imported
+    foreign = sorted((source, name) for source, name in imported
+                     if name.split(".")[0] not in sys.stdlib_module_names | {"pardual"})
+    assert foreign == []
