@@ -142,16 +142,15 @@ def two_panel_scene(window, source_segments, dual_segments):
     vp = Viewport(xmin, xmax + shift, ymin, ymax, total_px, PANEL_PX)
     scene = PlaneScene(vp)
     scene.add_segments(source_segments, style="thin")
-    scene.add_segments([((a[0] + shift, a[1]), (b[0] + shift, b[1]))
-                        for a, b in dual_segments], style="thick")
+    scene.add_segments(dual_segments, style="thick", dx=shift)
     # axes of the right-hand panel (the scene only auto-draws the left ones)
     axis = []
     if xmin <= 0 <= xmax:
-        axis.append(((shift, ymin), (shift, ymax)))
+        axis.append(((0.0, ymin), (0.0, ymax)))
     if ymin <= 0 <= ymax:
-        axis.append(((xmin + shift, 0.0), (xmax + shift, 0.0)))
+        axis.append(((xmin, 0.0), (xmax, 0.0)))
     if axis:
-        scene.add_segments(axis, style="axis")
+        scene.add_segments(axis, style="axis", dx=shift)
     return scene
 
 
@@ -245,9 +244,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
     except OverflowError as exc:
-        # only the float views overflow, and every command with one reads a window
-        bounds = ",".join(f"{v:g}" for v in args.window)
-        print(f"error: float evaluation over window {bounds} overflowed: {exc}", file=sys.stderr)
+        # only the float views overflow; name the window of a command that has one
+        window = getattr(args, "window", None)
+        where = "" if window is None else " over window " + ",".join(f"{v:g}" for v in window)
+        print(f"error: float evaluation{where} overflowed: {exc}", file=sys.stderr)
         return 2
 
 

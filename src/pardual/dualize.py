@@ -74,10 +74,12 @@ class ImplicitCurve:
     """Curve f(x1, x2) = 0 of degree n >= 1; irreducibility is the caller's
     promise (the R == 0 check in dual_curve is the safety net).
 
-    form and gradient are f and its partials (f1, f2) compiled once for
-    the float views (sampling, point images, residuals)."""
+    form and gradient are f and its partials (f1, f2) compiled for the
+    float views (sampling, point images, residuals) when one first reads
+    them, so the exact dual never converts a coefficient to a float: one
+    beyond the float range raises OverflowError only in a float view."""
 
-    __slots__ = ("f", "n", "form", "gradient")
+    __slots__ = ("f", "n", "_float_forms")
 
     def __init__(self, f: Polynomial):
         if not f:
@@ -90,9 +92,23 @@ class ImplicitCurve:
         self.n = total_degree(f)
         if self.n < 1:
             raise ValueError("a constant does not define a curve")
-        self.form = FloatForm(f, X1, X2)
-        self.gradient = (FloatForm(partial_derivative(f, X1), X1, X2),
-                         FloatForm(partial_derivative(f, X2), X1, X2))
+        self._float_forms = None
+
+    def _compiled(self) -> tuple[FloatForm, tuple[FloatForm, FloatForm]]:
+        if self._float_forms is None:
+            f = self.f
+            self._float_forms = (FloatForm(f, X1, X2),
+                                 (FloatForm(partial_derivative(f, X1), X1, X2),
+                                  FloatForm(partial_derivative(f, X2), X1, X2)))
+        return self._float_forms
+
+    @property
+    def form(self) -> FloatForm:
+        return self._compiled()[0]
+
+    @property
+    def gradient(self) -> tuple[FloatForm, FloatForm]:
+        return self._compiled()[1]
 
     def __repr__(self) -> str:
         return f"ImplicitCurve({self.f!r})"

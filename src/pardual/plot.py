@@ -3,9 +3,13 @@
 Implicit curves are traced with marching squares (center-sampled saddle
 disambiguation); the grid is evaluated column by column through one
 compiled FloatForm, so only two adjacent columns are held at a time.
-Scenes are ordered layers of segments with abstract style tokens;
-render_svg emits byte-stable SVG 1.1 with the y-axis flipped to
-mathematical orientation and all coordinates printed to three decimals.
+Each column also becomes an integer sign mask (bit j set when value j is
+negative), and bit operations on two adjacent masks select the cells
+whose corners differ in sign: only those few are marched.  Scenes are
+ordered layers of segments with abstract style tokens and an x offset
+applied when rendering; render_svg emits byte-stable SVG 1.1 with the
+y-axis flipped to mathematical orientation and all coordinates printed
+to three decimals.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class Viewport(_ViewportFields):
 class _Layer(NamedTuple):
     data: list[Segment]
     style: str
+    dx: float = 0.0
 
 
 class PlaneScene:
@@ -63,12 +68,15 @@ class PlaneScene:
         self.viewport = viewport
         self.layers = [] if layers is None else layers
 
-    def add_segments(self, segments: list[Segment], style: str = "thin") -> None:
+    def add_segments(self, segments: list[Segment], style: str = "thin",
+                     dx: float = 0.0) -> None:
+        """Add a layer; render_svg draws each point at (x + dx, y), so a
+        shifted panel shares the caller's segments instead of copying them."""
         for segment in segments:
             for px, py in segment:
-                if not (math.isfinite(px) and math.isfinite(py)):
+                if not (math.isfinite(px + dx) and math.isfinite(py)):
                     raise ValueError("scene coordinates must be finite")
-        self.layers.append(_Layer(list(segments), style))
+        self.layers.append(_Layer(list(segments), style, dx))
 
 
 def _axes_pair(p: Polynomial) -> tuple[int, int]:
@@ -101,6 +109,13 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int = 64) -> list[Segment]
     restriction [(c*x**a, b), ...] once per grid column, and the cells are
     marched between two adjacent columns, so the full grid of values is
     never held.  Every value is bit-identical to evaluate_float's.
+
+    Each column is also reduced to a sign mask, an int whose bit j is set
+    when value j < 0.  A cell is crossed when its four corners do not all
+    share one sign; for adjacent column masks L and R that is bit j of
+    (L ^ R) | (L ^ L >> 1) | (R ^ R >> 1), cut to the grid's cells.  Only
+    those cells are marched, lowest bit first, so the segments come out
+    in the order of a full scan of every cell.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
@@ -109,29 +124,34 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int = 64) -> list[Segment]
     xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]
     ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
     y_powers = [[yv ** b for yv in ys] for b in range(form.degree + 1)]
+    cells = (1 << grid) - 1  # bit grid of a mask is the top node, not a cell
 
-    def column(xv: float) -> list[float]:
+    def column(xv: float) -> tuple[list[float], int]:
         values = [0.0] * len(ys)
         for coeff, b in form.restrict(ax, xv):
             values = [v + coeff * power for v, power in zip(values, y_powers[b])]
-        return values
+        return values, int("".join(["1" if v < 0 else "0" for v in reversed(values)]), 2)
 
     def interp(x0, y0, v0, x1, y1, v1) -> Point:
         t = v0 / (v0 - v1)
         return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
 
     segments: list[Segment] = []
-    right = column(xs[0])
+    right, right_mask = column(xs[0])
     for i in range(grid):
-        left, right = right, column(xs[i + 1])
-        for j in range(grid):
+        left, left_mask = right, right_mask
+        right, right_mask = column(xs[i + 1])
+        crossed = ((left_mask ^ right_mask) | (left_mask ^ (left_mask >> 1))
+                   | (right_mask ^ (right_mask >> 1))) & cells
+        while crossed:
+            low = crossed & -crossed
+            crossed ^= low
+            j = low.bit_length() - 1
             bl = left[j]
             br = right[j]
             tr = right[j + 1]
             tl = left[j + 1]
             index = ((bl < 0) | ((br < 0) << 1) | ((tr < 0) << 2) | ((tl < 0) << 3))
-            if index in (0, 15):
-                continue
             edge_points = {}
             if (bl < 0) != (br < 0):
                 edge_points["B"] = interp(xs[i], ys[j], bl, xs[i + 1], ys[j], br)
@@ -248,8 +268,11 @@ def render_svg(scene: PlaneScene) -> str:
         lines.append(f'<path class="axis" d="{" ".join(axis_parts)}"/>')
 
     for layer in scene.layers:
+        dx = layer.dx
         parts = []
         for a, b in layer.data:
+            if dx:  # only then: -0.0 + 0.0 is 0.0, which can print differently
+                a, b = (a[0] + dx, a[1]), (b[0] + dx, b[1])
             pa, pb = to_px(a), to_px(b)
             parts.append(f"M {_fmt(pa[0])} {_fmt(pa[1])} L {_fmt(pb[0])} {_fmt(pb[1])}")
         lines.append(f'<path class="{layer.style}" d="{" ".join(parts)}"/>')

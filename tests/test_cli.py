@@ -57,6 +57,18 @@ class TestDualCommand:
         code, _, _ = run(capsys, "dual", "x + y")
         assert code == 2
 
+    def test_coefficient_beyond_float_range(self, capsys):
+        # dual is exact and compiles no float form, so no coefficient overflows
+        big = 10 ** 400
+        code, out, err = run(capsys, "dual", f"{big}*x1^2 + x2^2 - 1")
+        assert code == 0
+        assert out == (
+            f"dual: {big + 1}*x^2 - {big}*y^2 - 2*x + 1\n"
+            "source_degree: 2\n"
+            "dual_degree: 2\n"
+            "psi_power: 2\n")
+        assert err == ""
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("# circle\n\nx1^2 + x2^2 - 1\n"))
         code, out, _ = run(capsys, "dual", "-")
@@ -336,6 +348,7 @@ class TestCommandSurface:
         ("verify", "x1^2 + x2^2 - 1", "-1e308,0.5e308,-1,1"),
         ("plot-envelope", "x1^2 + x2^2 - 1", "-1e308,0.5e308,-1,1"),
         ("plot", f"{10 ** 400}*x1^2 + x2^2 - 1", "-3,3,-3,3"),
+        ("verify", f"{10 ** 400}*x1^2 + x2^2 - 1", "-3,3,-3,3"),
     ])
     def test_float_overflow_exit_2(self, command, text, window, capsys):
         # finite bounds whose powers, or a coefficient, overflow a float
@@ -345,6 +358,16 @@ class TestCommandSurface:
         bounds = ",".join(f"{float(v):g}" for v in window.split(","))
         assert err.startswith(f"error: float evaluation over window {bounds} overflowed")
         assert "Traceback" not in err
+
+    def test_overflow_without_window_exit_2(self, capsys, monkeypatch):
+        # the handler names a window only for a command that has one
+        def overflow(args):
+            raise OverflowError("int too large to convert to float")
+        monkeypatch.setattr("pardual.cli.cmd_dual", overflow)
+        code, out, err = run(capsys, "dual", "x1^2 + x2^2 - 1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: float evaluation overflowed: int too large to convert to float\n"
 
     def test_degree_budget_exit_2(self, capsys):
         code, out, err = run(capsys, "dual", "(x1^64)^2")

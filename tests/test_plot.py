@@ -1,8 +1,12 @@
 import math
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import nonzero_polynomials, polynomials
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pardual.dualize import ImplicitCurve, dual_curve, line_dual_point, sample_curve
 from pardual.plot import (
@@ -15,7 +19,7 @@ from pardual.plot import (
     trace_implicit,
 )
 from pardual.polyparse import parse
-from pardual.polyring import X, X1, X2, Y, evaluate_float
+from pardual.polyring import X, X1, X2, Y, Polynomial, evaluate_float, variables
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -74,6 +78,50 @@ def reference_trace(p, ax, ay, vp, grid):
     return segments
 
 
+def grid_nodes(lo, hi, grid):
+    """The node coordinates trace_implicit marches, by its formula."""
+    return [lo + k * (hi - lo) / grid for k in range(grid + 1)]
+
+
+@st.composite
+def trace_cases(draw):
+    """(p, axes, viewport, grid): a random polynomial, or one that puts a
+    saddle cell, a row or column of exact zeros at grid nodes, or a crossing
+    of the top row or right column into the window.  Bounds are hundredths,
+    off the dyadic grid, so that the node coordinates round."""
+    axes = draw(st.sampled_from([(X1, X2), (X, Y)]))
+    grid = draw(st.sampled_from([16, 17, 33, 64]))
+    xmin, ymin, width, height = (draw(st.integers(lo, hi)) / 100
+                                 for lo, hi in ((-350, 250), (-350, 250), (7, 600), (7, 600)))
+    vp = Viewport(xmin, xmin + width, ymin, ymin + height)
+    xs, ys = grid_nodes(vp.xmin, vp.xmax, grid), grid_nodes(vp.ymin, vp.ymax, grid)
+    u, v = (Polynomial.variable(a) for a in axes)
+    kind = draw(st.sampled_from(["random", "saddle", "zero column", "zero row", "top right"]))
+    if kind == "random":
+        p = draw(polynomials(variables=axes, max_terms=6))
+    elif kind == "saddle":
+        # a steep and a shallow line crossing inside a cell, off its nodes
+        i, j = draw(st.integers(0, grid - 1)), draw(st.integers(0, grid - 1))
+        s, t = (Fraction(draw(st.integers(1, 99)), 100) for _ in range(2))
+        px = Fraction(xs[i]) + (Fraction(xs[i + 1]) - Fraction(xs[i])) * s
+        py = Fraction(ys[j]) + (Fraction(ys[j + 1]) - Fraction(ys[j])) * t
+        a, b = (Fraction(draw(st.integers(-3, 3)), 10) for _ in range(2))
+        p = (u - px + (v - py) * a) * (v - py + (u - px) * b)
+    elif kind in ("zero column", "zero row"):
+        # exactly 0.0 at every node of one grid line: no bit of that mask
+        # comes from it
+        k = draw(st.integers(0, grid))
+        line = u - Fraction(xs[k]) if kind == "zero column" else v - Fraction(ys[k])
+        p = line * draw(nonzero_polynomials(variables=axes, max_terms=3, max_degree=2))
+    else:
+        # a circle about the top-right corner crosses the top row of cells
+        # and the right column, whose masks use bit grid
+        r = Fraction(draw(st.integers(1, 100)), 100) * Fraction(min(width, height))
+        p = (u - Fraction(vp.xmax)) ** 2 + (v - Fraction(vp.ymax)) ** 2 - r * r
+    assume(variables(p))
+    return p, axes, vp, grid
+
+
 class TestTraceImplicit:
     @pytest.mark.parametrize("text, axes, vp", [
         ("x1^3 - x1^2 - x2^2 + x2 - 1", (X1, X2), Viewport(-2.9, 3.1, -3.1, 2.9)),
@@ -86,6 +134,37 @@ class TestTraceImplicit:
         # coordinates round; the nodal cubic meets a saddle cell.
         p = parse(text)
         assert trace_implicit(p, vp, 64) == reference_trace(p, *axes, vp, 64)
+
+    @settings(max_examples=80, deadline=None)
+    @given(trace_cases())
+    def test_masks_match_full_scan(self, case):
+        # Marching only the cells the sign masks select gives the full
+        # scan's segments, in its order, bit for bit.
+        p, axes, vp, grid = case
+        assert trace_implicit(p, vp, grid) == reference_trace(p, *axes, vp, grid)
+
+    def test_saddle_and_grid_edge_cases(self):
+        vp = Viewport(-2.95, 3.05, -3.05, 2.95)
+        grid = 17
+        xs, ys = grid_nodes(vp.xmin, vp.xmax, grid), grid_nodes(vp.ymin, vp.ymax, grid)
+        u, v = Polynomial.variable(X1), Polynomial.variable(X2)
+        px = (Fraction(xs[5]) + Fraction(xs[6])) / 2 + Fraction(1, 1000)
+        py = (Fraction(ys[9]) + Fraction(ys[10])) / 2 - Fraction(1, 1000)
+        cross = (u - px) * (v - py)
+        corners = [evaluate_float(cross, {X1: x, X2: y})
+                   for x, y in ((xs[5], ys[9]), (xs[6], ys[9]), (xs[6], ys[10]), (xs[5], ys[10]))]
+        assert [c < 0 for c in corners] in ([True, False, True, False],
+                                            [False, True, False, True])
+        cases = [
+            cross,
+            (u - Fraction(xs[7])) * (v - Fraction(ys[3])),  # 0.0 on a node column and row
+            u - Fraction(xs[grid]),                      # 0.0 on the right column
+            v - Fraction(ys[grid]) + Fraction(1, 100),   # just under the top row
+            u * u + v * v - 1,
+        ]
+        for p in cases:
+            assert trace_implicit(p, vp, grid) == reference_trace(p, X1, X2, vp, grid)
+        assert trace_implicit(cases[3], vp, grid)
 
     def test_circle_vertex_residuals(self):
         segments = trace_implicit(CIRCLE, VIEW2, 64)
