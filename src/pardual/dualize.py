@@ -362,7 +362,7 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
         gradients.append((g1, g2))
 
     def scan(fixed_var: int, fixed_lo: float, fixed_hi: float,
-             free_lo: float, free_hi: float, horizontal: bool) -> None:
+             free_lo: float, free_hi: float) -> None:
         for i in range(lines):
             fixed_val = fixed_lo + (i + 0.5) * (fixed_hi - fixed_lo) / lines
             coeffs = f.line(fixed_var, fixed_val)
@@ -382,13 +382,13 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
                     previous = current
                     continue
                 previous = current
-                if horizontal:
+                if fixed_var == X2:
                     accept(root, fixed_val)
                 else:
                     accept(fixed_val, root)
 
-    scan(X2, ymin, ymax, xmin, xmax, horizontal=True)
-    scan(X1, xmin, xmax, ymin, ymax, horizontal=False)
+    scan(X2, ymin, ymax, xmin, xmax)
+    scan(X1, xmin, xmax, ymin, ymax)
 
     if len(points) > target_count:
         if target_count == 1:

@@ -1,15 +1,17 @@
 """Deterministic SVG rendering of curves, duals and tangent-line envelopes.
 
-Implicit curves are traced with marching squares (center-sampled saddle
-disambiguation); the grid is evaluated column by column through one
-compiled FloatForm, so only two adjacent columns are held at a time.
-Each column also becomes an integer sign mask (bit j set when value j is
-negative), and bit operations on two adjacent masks select the cells
-whose corners differ in sign: only those few are marched.  Scenes are
-ordered layers of segments with abstract style tokens and an x offset
-applied when rendering; render_svg emits byte-stable SVG 1.1 with the
-y-axis flipped to mathematical orientation and all coordinates printed
-to three decimals.
+Implicit curves are traced with marching squares; the grid is evaluated
+column by column through one compiled FloatForm, so only two adjacent
+columns are held at a time.  Each column also becomes an integer sign mask
+(bit j set when value j is negative), and bit operations on two adjacent
+masks select the cells whose corners differ in sign: only those few are
+marched.  A crossed cell joins its edge crossings in the fixed order
+bottom, left, right, top; only a saddle, with all four edges crossed,
+samples its center to pick the pairs.  Scenes are ordered layers of
+segments with abstract style tokens and an x offset applied when
+rendering; render_svg draws the automatic axes as one more leading layer
+and emits byte-stable SVG 1.1 with the y-axis flipped to mathematical
+orientation and all coordinates printed to three decimals.
 """
 
 from __future__ import annotations
@@ -88,19 +90,6 @@ def _axes_pair(p: Polynomial) -> tuple[int, int]:
     raise ValueError("polynomial must depend on the (x1, x2) or (x, y) pair")
 
 
-# Segment table for marching squares: bit i set when corner i is negative,
-# corners ordered BL, BR, TR, TL; edges are B, R, T, L.
-_CASES = {
-    0: [], 15: [],
-    1: [("B", "L")], 14: [("B", "L")],
-    2: [("B", "R")], 13: [("B", "R")],
-    3: [("L", "R")], 12: [("L", "R")],
-    4: [("R", "T")], 11: [("R", "T")],
-    6: [("B", "T")], 9: [("B", "T")],
-    7: [("L", "T")], 8: [("L", "T")],
-}
-
-
 def trace_implicit(p: Polynomial, vp: Viewport, grid: int = 64) -> list[Segment]:
     """March a grid x grid cell mesh over the viewport and return the
     zero-set segments of p (empty when the curve misses the window).
@@ -108,7 +97,7 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int = 64) -> list[Segment]
     p is compiled once; the y**b powers are taken once per grid row and the
     restriction [(c*x**a, b), ...] once per grid column, and the cells are
     marched between two adjacent columns, so the full grid of values is
-    never held.  Every value is bit-identical to evaluate_float's.
+    never held.  Every value is bit-identical to form(x, y).
 
     Each column is also reduced to a sign mask, an int whose bit j is set
     when value j < 0.  A cell is crossed when its four corners do not all
@@ -116,6 +105,14 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int = 64) -> list[Segment]
     (L ^ R) | (L ^ L >> 1) | (R ^ R >> 1), cut to the grid's cells.  Only
     those cells are marched, lowest bit first, so the segments come out
     in the order of a full scan of every cell.
+
+    A crossed cell collects the crossing points of its edges whose two
+    corners differ in sign, in the order bottom, left, right, top.  Two
+    crossings make one segment, joined in that order.  Four make a saddle:
+    with bl < 0 (bl and tr negative) a negative center gives the segments
+    (left, top), (bottom, right) and any other center (left, bottom),
+    (right, top); with br and tl negative a negative center gives
+    (bottom, left), (right, top) and any other (bottom, right), (top, left).
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
@@ -151,26 +148,26 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int = 64) -> list[Segment]
             br = right[j]
             tr = right[j + 1]
             tl = left[j + 1]
-            index = ((bl < 0) | ((br < 0) << 1) | ((tr < 0) << 2) | ((tl < 0) << 3))
-            edge_points = {}
+            crossings = []
             if (bl < 0) != (br < 0):
-                edge_points["B"] = interp(xs[i], ys[j], bl, xs[i + 1], ys[j], br)
-            if (br < 0) != (tr < 0):
-                edge_points["R"] = interp(xs[i + 1], ys[j], br, xs[i + 1], ys[j + 1], tr)
-            if (tl < 0) != (tr < 0):
-                edge_points["T"] = interp(xs[i], ys[j + 1], tl, xs[i + 1], ys[j + 1], tr)
+                crossings.append(interp(xs[i], ys[j], bl, xs[i + 1], ys[j], br))
             if (bl < 0) != (tl < 0):
-                edge_points["L"] = interp(xs[i], ys[j], bl, xs[i], ys[j + 1], tl)
-            if index in (5, 10):
-                center = form(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
-                if index == 5:
-                    pairs = [("L", "T"), ("B", "R")] if center < 0 else [("L", "B"), ("R", "T")]
-                else:
-                    pairs = [("B", "L"), ("R", "T")] if center < 0 else [("B", "R"), ("T", "L")]
+                crossings.append(interp(xs[i], ys[j], bl, xs[i], ys[j + 1], tl))
+            if (br < 0) != (tr < 0):
+                crossings.append(interp(xs[i + 1], ys[j], br, xs[i + 1], ys[j + 1], tr))
+            if (tl < 0) != (tr < 0):
+                crossings.append(interp(xs[i], ys[j + 1], tl, xs[i + 1], ys[j + 1], tr))
+            if len(crossings) == 2:
+                segments.append((crossings[0], crossings[1]))
+                continue
+            on_bottom, on_left, on_right, on_top = crossings  # a saddle
+            center = form(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+            if bl < 0:
+                segments += ([(on_left, on_top), (on_bottom, on_right)] if center < 0
+                             else [(on_left, on_bottom), (on_right, on_top)])
             else:
-                pairs = _CASES[index]
-            for a, b in pairs:
-                segments.append((edge_points[a], edge_points[b]))
+                segments += ([(on_bottom, on_left), (on_right, on_top)] if center < 0
+                             else [(on_bottom, on_right), (on_top, on_left)])
     return segments
 
 
@@ -255,19 +252,12 @@ def render_svg(scene: PlaneScene) -> str:
         f'<rect class="frame" x="0.5" y="0.5" '
         f'width="{vp.width_px - 1}" height="{vp.height_px - 1}"/>',
     ]
-    axis_parts = []
+    axes = []
     if vp.xmin <= 0 <= vp.xmax:
-        top = to_px((0.0, vp.ymax))
-        bottom = to_px((0.0, vp.ymin))
-        axis_parts.append(f"M {_fmt(top[0])} {_fmt(top[1])} L {_fmt(bottom[0])} {_fmt(bottom[1])}")
+        axes.append(((0.0, vp.ymax), (0.0, vp.ymin)))
     if vp.ymin <= 0 <= vp.ymax:
-        left = to_px((vp.xmin, 0.0))
-        right = to_px((vp.xmax, 0.0))
-        axis_parts.append(f"M {_fmt(left[0])} {_fmt(left[1])} L {_fmt(right[0])} {_fmt(right[1])}")
-    if axis_parts:
-        lines.append(f'<path class="axis" d="{" ".join(axis_parts)}"/>')
-
-    for layer in scene.layers:
+        axes.append(((vp.xmin, 0.0), (vp.xmax, 0.0)))
+    for layer in ([_Layer(axes, "axis")] if axes else []) + scene.layers:
         dx = layer.dx
         parts = []
         for a, b in layer.data:

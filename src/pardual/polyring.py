@@ -9,9 +9,9 @@ The constructor stores integral values as int and integer arithmetic keeps
 them int, so an integer polynomial (every primitive part, every dual)
 costs no Fraction object per term.  Values are immutable
 and every operation is a pure function, so everything here is safe to
-share across threads.  No float ever enters the arithmetic; the float
-views are evaluate_float and FloatForm, a polynomial compiled once for
-repeated evaluation in a pair of variables.
+share across threads.  No float ever enters the arithmetic; the one float
+view is FloatForm, a polynomial compiled once for repeated evaluation in a
+pair of variables.
 """
 
 from __future__ import annotations
@@ -288,31 +288,17 @@ def evaluate_exact(p: Polynomial, point: Mapping[VarId, Fraction | int]) -> Frac
     return total
 
 
-def evaluate_float(p: Polynomial, point: Mapping[VarId, float]) -> float:
-    """One-off float value of p, its terms summed in canonical order so that
-    residuals are bit-reproducible.  The package evaluates through FloatForm,
-    which reproduces this function bit for bit; the tests compare the two."""
-    total = 0.0
-    for mono, coeff in sorted_terms(p):
-        term = float(coeff)
-        for var, exp in mono:
-            if var not in point:
-                raise ValueError(f"variable {VAR_NAMES[var]} is unbound")
-            term *= float(point[var]) ** exp
-        total += term
-    return total
-
-
 class FloatForm:
     """p compiled for repeated float evaluation in the axis pair ax < ay.
 
     The terms are held in canonical order as (float(coeff), exp_ax, exp_ay),
-    and every value is computed with the float operations of evaluate_float
-    in the same order: term = c, then *= x**a, then *= y**b, summed from 0.0.
-    So each value is bit-identical to evaluate_float's.  A factor v**0 is
-    1.0 and multiplying by it is exact, so terms need no branch on a zero
-    exponent.  No Horner scheme: it rounds differently and can flip the sign
-    of a value near zero.
+    and every value is computed with the float operations of a one-off
+    evaluation of p, in the same order: term = c, then *= x**a, then
+    *= y**b, summed from 0.0.  The tests keep that one-off evaluation
+    (evaluate_float in tests/helpers.py) as the reference that each value
+    must equal bit for bit.  A factor v**0 is 1.0 and multiplying by it is
+    exact, so terms need no branch on a zero exponent.  No Horner scheme:
+    it rounds differently and can flip the sign of a value near zero.
     """
 
     __slots__ = ("axes", "degree", "terms")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from pardual.polyring import NUM_VARS, X1, X2, Polynomial
+from pardual.polyring import NUM_VARS, VAR_NAMES, X1, X2, Polynomial, sorted_terms
 
 
 @st.composite
@@ -37,6 +37,22 @@ def nonzero_polynomials(variables=(X1, X2), **kwargs):
 
 
 all_variable_polynomials = polynomials(variables=tuple(range(NUM_VARS)), max_degree=6)
+
+
+def evaluate_float(p, point):
+    """One-off float value of p at point (a VarId -> float mapping), its
+    terms summed in canonical order: term = c, then *= v**e per variable in
+    registry order, summed from 0.0.  This is the reference that FloatForm
+    reproduces bit for bit."""
+    total = 0.0
+    for mono, coeff in sorted_terms(p):
+        term = float(coeff)
+        for var, exp in mono:
+            if var not in point:
+                raise ValueError(f"variable {VAR_NAMES[var]} is unbound")
+            term *= float(point[var]) ** exp
+        total += term
+    return total
 
 
 def sylvester_matrix(f, g):

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import conic_determinant
+from helpers import conic_determinant, evaluate_float
 from pardual.cli import main as cli_main
 from pardual.dualize import (
     ConicMatrix,
@@ -44,7 +44,6 @@ from pardual.polyring import (
     Polynomial,
     content_and_primitive,
     evaluate_exact,
-    evaluate_float,
     homogenize,
     partial_derivative,
     total_degree,

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import evaluate_float
 from pardual.cli import MAX_GRID, MAX_SAMPLES, build_parser, main
 from pardual.dualize import DEFAULT_SPACING
 from pardual.polyparse import parse
-from pardual.polyring import FloatForm, content_and_primitive, evaluate_float, X, Y
+from pardual.polyring import FloatForm, content_and_primitive, X, Y
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import conic_determinant
+from helpers import conic_determinant, evaluate_float
 from pardual.dualize import (
     ConicMatrix,
     DegenerateCurveError,
@@ -30,7 +30,6 @@ from pardual.polyring import (
     Y,
     content_and_primitive,
     evaluate_exact,
-    evaluate_float,
     total_degree,
 )
 

@@ -4,13 +4,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import nonzero_polynomials, polynomials
+from helpers import evaluate_float, nonzero_polynomials, polynomials
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pardual.dualize import ImplicitCurve, dual_curve, line_dual_point, sample_curve
 from pardual.plot import (
-    _CASES,
     PlaneScene,
     Viewport,
     clip_infinite_line,
@@ -19,7 +18,7 @@ from pardual.plot import (
     trace_implicit,
 )
 from pardual.polyparse import parse
-from pardual.polyring import X, X1, X2, Y, Polynomial, evaluate_float, variables
+from pardual.polyring import X, X1, X2, Y, Polynomial, variables
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -37,6 +36,19 @@ def circle_dual_scene():
     scene = PlaneScene(Viewport(-3.0, 3.0, -3.0, 3.0))
     scene.add_segments(trace_implicit(dual.g, scene.viewport, 64), style="thick")
     return scene
+
+
+# Segment table for marching squares: bit i set when corner i is negative,
+# corners ordered BL, BR, TR, TL; edges are B, R, T, L.
+_CASES = {
+    0: [], 15: [],
+    1: [("B", "L")], 14: [("B", "L")],
+    2: [("B", "R")], 13: [("B", "R")],
+    3: [("L", "R")], 12: [("L", "R")],
+    4: [("R", "T")], 11: [("R", "T")],
+    6: [("B", "T")], 9: [("B", "T")],
+    7: [("L", "T")], 8: [("L", "T")],
+}
 
 
 def reference_trace(p, ax, ay, vp, grid):
@@ -165,6 +177,29 @@ class TestTraceImplicit:
         for p in cases:
             assert trace_implicit(p, vp, grid) == reference_trace(p, X1, X2, vp, grid)
         assert trace_implicit(cases[3], vp, grid)
+
+    def test_every_cell_case(self):
+        # The bilinear p through dyadic corner values of the unit cell
+        # [7, 8]^2 gives that cell each of the 16 corner-sign patterns, and
+        # each saddle both center signs and a zero center.  On [0, 16]^2 at
+        # grid 16 the nodes and the center are integers and halves, so every
+        # value is exact.
+        vp = Viewport(0.0, 16.0, 0.0, 16.0)
+        u, v = Polynomial.variable(X1) - 7, Polynomial.variable(X2) - 7
+        corners = ((7.0, 7.0), (8.0, 7.0), (8.0, 8.0), (7.0, 8.0))  # BL, BR, TR, TL
+        cases = [(index, (1, 2, 1, 2)) for index in range(16)]
+        cases += [(saddle, magnitudes) for saddle in (5, 10)
+                  for magnitudes in ((2, 1, 2, 1), (1, 1, 1, 1))]
+        seen = set()
+        for index, magnitudes in cases:
+            bl, br, tr, tl = values = [Fraction(-m if index >> k & 1 else m, 2)
+                                       for k, m in enumerate(magnitudes)]
+            p = bl * (1 - u) * (1 - v) + br * u * (1 - v) + tr * u * v + tl * (1 - u) * v
+            assert [evaluate_float(p, {X1: x, X2: y}) for x, y in corners] == values
+            center = evaluate_float(p, {X1: 7.5, X2: 7.5})
+            seen.add((index, center < 0))
+            assert trace_implicit(p, vp, 16) == reference_trace(p, X1, X2, vp, 16)
+        assert len(seen) == 18
 
     def test_circle_vertex_residuals(self):
         segments = trace_implicit(CIRCLE, VIEW2, 64)

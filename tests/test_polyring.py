@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_variable_polynomials, nonzero_polynomials, polynomials
+from helpers import all_variable_polynomials, evaluate_float, nonzero_polynomials, polynomials
 from pardual.dualize import DegenerateCurveError, ImplicitCurve, dual_curve
 from pardual.polyparse import parse
 from pardual.polyring import (
@@ -20,7 +20,6 @@ from pardual.polyring import (
     Polynomial,
     content_and_primitive,
     evaluate_exact,
-    evaluate_float,
     homogenize,
     mono_degree,
     partial_derivative,
