@@ -107,11 +107,13 @@ def cmd_conic_dual(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: malformed rational: {exc}", file=sys.stderr)
         return 2
-    from .dualize import ConicMatrix, conic_dual_matrix
+    from .dualize import ConicMatrix, DegenerateCurveError, conic_dual_matrix
     source = ConicMatrix.of(*values)
     if not source.is_degree_two():
         print("error: A1, A2, A4 all zero: not a degree-2 curve", file=sys.stderr)
         return 2
+    if source.determinant() == 0:
+        raise DegenerateCurveError("determinant 0: a line pair or double line, no dual conic")
     dual = conic_dual_matrix(source)
     for name in ("a1", "a2", "a3", "a4", "a5", "a6"):
         print(f"{name}: {getattr(dual, name)}")

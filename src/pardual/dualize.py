@@ -74,12 +74,12 @@ class ImplicitCurve:
     """Curve f(x1, x2) = 0 of degree n >= 1; irreducibility is the caller's
     promise (the R == 0 check in dual_curve is the safety net).
 
-    form and gradient are f and its partials (f1, f2) compiled for the
-    float views (sampling, point images, residuals) when one first reads
-    them, so the exact dual never converts a coefficient to a float: one
-    beyond the float range raises OverflowError only in a float view."""
+    Plain exact data.  Each float view (sample_curve, point_image_on_dual,
+    verify_duality) compiles f and its partials once per call, so the
+    exact dual never converts a coefficient to a float: one beyond the
+    float range raises OverflowError only in a float view."""
 
-    __slots__ = ("f", "n", "_float_forms")
+    __slots__ = ("f", "n")
 
     def __init__(self, f: Polynomial):
         if not f:
@@ -92,23 +92,6 @@ class ImplicitCurve:
         self.n = total_degree(f)
         if self.n < 1:
             raise ValueError("a constant does not define a curve")
-        self._float_forms = None
-
-    def _compiled(self) -> tuple[FloatForm, tuple[FloatForm, FloatForm]]:
-        if self._float_forms is None:
-            f = self.f
-            self._float_forms = (FloatForm(f, X1, X2),
-                                 (FloatForm(partial_derivative(f, X1), X1, X2),
-                                  FloatForm(partial_derivative(f, X2), X1, X2)))
-        return self._float_forms
-
-    @property
-    def form(self) -> FloatForm:
-        return self._compiled()[0]
-
-    @property
-    def gradient(self) -> tuple[FloatForm, FloatForm]:
-        return self._compiled()[1]
 
     def __repr__(self) -> str:
         return f"ImplicitCurve({self.f!r})"
@@ -229,6 +212,12 @@ class ConicMatrix(NamedTuple):
     def is_degree_two(self) -> bool:
         return bool(self.a1 or self.a2 or self.a4)
 
+    def determinant(self) -> Fraction:
+        """Zero exactly for a degenerate conic: a line pair or a double line."""
+        a1, a2, a3, a4, a5, a6 = self
+        return (a1 * (a2 * a3 - a6 ** 2) - a4 * (a4 * a3 - a6 * a5)
+                + a5 * (a4 * a6 - a2 * a5))
+
     def polynomial(self, vu: int, vv: int) -> Polynomial:
         u = Polynomial.variable(vu)
         v = Polynomial.variable(vv)
@@ -250,23 +239,35 @@ def conic_dual_matrix(source: ConicMatrix) -> ConicMatrix:
     )
 
 
-def _on_curve_tolerance(curve: ImplicitCurve, x1v: float, x2v: float) -> float:
-    return F_TOL_REL * (1.0 + curve.form.max_abs_term(x1v, x2v))
+def _float_forms(f: Polynomial) -> tuple[FloatForm, FloatForm, FloatForm]:
+    """f and its partials f1, f2 compiled for float evaluation in (x1, x2)."""
+    return tuple(FloatForm(p, X1, X2)
+                 for p in (f, partial_derivative(f, X1), partial_derivative(f, X2)))
+
+
+def _on_curve(form: FloatForm, x1v: float, x2v: float, value: float) -> bool:
+    """|f| within F_TOL_REL of the local term scale; false for a NaN value."""
+    return abs(value) <= F_TOL_REL * (1.0 + form.max_abs_term(x1v, x2v))
+
+
+def _image(forms: tuple[FloatForm, FloatForm, FloatForm],
+           point: tuple[float, float]) -> PlanePoint:
+    f, f1, f2 = forms
+    x1v, x2v = point
+    value = f(x1v, x2v)
+    if not _on_curve(f, x1v, x2v, value):
+        raise ValueError(f"point {point} is not on the curve (|f| = {abs(value):.3g})")
+    g1, g2 = f1(x1v, x2v), f2(x1v, x2v)
+    denominator = g1 + g2
+    if abs(denominator) < DENOM_TOL:
+        raise IdealPointError("slope-1 tangent maps to ideal point")
+    return PlanePoint(g2 / denominator, (x1v * g1 + x2v * g2) / denominator)
 
 
 def point_image_on_dual(curve: ImplicitCurve, point: tuple[float, float]) -> PlanePoint:
     """Image of a curve point under the fundamental duality:
     x = f2 / (f1 + f2), y = (x1*f1 + x2*f2) / (f1 + f2)."""
-    x1v, x2v = point
-    value = curve.form(x1v, x2v)
-    if abs(value) > _on_curve_tolerance(curve, x1v, x2v):
-        raise ValueError(f"point {point} is not on the curve (|f| = {abs(value):.3g})")
-    f1 = curve.gradient[0](x1v, x2v)
-    f2 = curve.gradient[1](x1v, x2v)
-    denominator = f1 + f2
-    if abs(denominator) < DENOM_TOL:
-        raise IdealPointError("slope-1 tangent maps to ideal point")
-    return PlanePoint(f2 / denominator, (x1v * f1 + x2v * f2) / denominator)
+    return _image(_float_forms(curve.f), point)
 
 
 def line_dual_point(m: float, b: float, d: float = DEFAULT_SPACING) -> PlanePoint:
@@ -289,6 +290,11 @@ def point_to_polyline(values: Sequence[Fraction | float],
     return [PlanePoint(i * d, float(c)) for i, c in enumerate(values)]
 
 
+def _require_finite(names: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"{names} = {values} is not finite")
+
+
 def _horner(coeffs: list[float], t: float) -> float:
     value = 0.0
     for c in reversed(coeffs):
@@ -296,10 +302,9 @@ def _horner(coeffs: list[float], t: float) -> float:
     return value
 
 
-def _refine_root(coeffs: list[float], lo: float, hi: float) -> float:
-    flo = _horner(coeffs, lo)
-    if flo == 0.0:
-        return lo
+def _refine_root(coeffs: list[float], lo: float, hi: float, flo: float) -> float:
+    """Root of p in [lo, hi], where flo = p(lo) is nonzero and p(hi) is
+    zero or of the other sign."""
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -334,28 +339,30 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
                  target_count: int) -> CurveSamples:
     """Deterministic real points of f = 0 inside the window.
 
-    Scans horizontal and vertical grid lines (at least 4 * target_count
-    lines in total), brackets sign changes, bisects and Newton-polishes
-    each root, and drops near-singular points.  Returns up to
-    target_count points, evenly thinned in scan order.
+    Compiles f and its partials, scans horizontal and vertical grid lines
+    (at least 4 * target_count lines in total), brackets sign changes,
+    bisects and Newton-polishes each root, and drops near-singular points.
+    Returns up to target_count points, evenly thinned in scan order.  A
+    root, f value or gradient that is not finite raises OverflowError.
     """
     xmin, xmax, ymin, ymax = window
     if not (xmin < xmax and ymin < ymax):
         raise ValueError("window must be nonempty")
     if target_count < 1:
         raise ValueError("target_count must be at least 1")
-    f = curve.form
-    fx1, fx2 = curve.gradient
+    f, fx1, fx2 = _float_forms(curve.f)
     lines = max(16, 2 * target_count)
 
     points: list[tuple[float, float]] = []
     gradients: list[tuple[float, float]] = []
 
     def accept(x1v: float, x2v: float) -> None:
-        if abs(f(x1v, x2v)) > _on_curve_tolerance(curve, x1v, x2v):
+        value = f(x1v, x2v)
+        _require_finite("(x1, x2, f)", x1v, x2v, value)
+        if not _on_curve(f, x1v, x2v, value):
             return
-        g1 = fx1(x1v, x2v)
-        g2 = fx2(x1v, x2v)
+        g1, g2 = fx1(x1v, x2v), fx2(x1v, x2v)
+        _require_finite("(f1, f2)", g1, g2)
         if math.hypot(g1, g2) < SINGULAR_TOL:
             return
         points.append((x1v, x2v))
@@ -377,7 +384,7 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
                 if previous == 0.0:
                     root = lo
                 elif (previous < 0.0) != (current < 0.0):
-                    root = _refine_root(coeffs, lo, hi)
+                    root = _refine_root(coeffs, lo, hi, previous)
                 else:
                     previous = current
                     continue
@@ -406,21 +413,23 @@ def verify_duality(curve: ImplicitCurve, dual: DualCurve,
     """Evaluate the dual polynomial at every sample's image point.
 
     The residual is |g(x, y)| / (1 + max |term of g at (x, y)|); samples
-    whose tangent has slope 1 are skipped.
+    whose tangent has slope 1 are skipped, and a residual that is not
+    finite raises OverflowError.  f, its partials and g compile once.
     """
+    forms = _float_forms(curve.f)
     g = FloatForm(dual.g, X, Y)
     tested = 0
     skipped = 0
     worst = 0.0
     for point in samples.points:
         try:
-            image = point_image_on_dual(curve, point)
+            x, y = _image(forms, point)
         except IdealPointError:
             skipped += 1
             continue
-        value = abs(g(image.x, image.y))
-        scale = 1.0 + g.max_abs_term(image.x, image.y)
-        worst = max(worst, value / scale)
+        residual = abs(g(x, y)) / (1.0 + g.max_abs_term(x, y))
+        _require_finite("(x, y, residual)", x, y, residual)
+        worst = max(worst, residual)
         tested += 1
     if tested == 0:
         raise NoSamplesError("no verifiable samples")

@@ -8,8 +8,11 @@ printer.  The grammar below is the input format of the CLI:
     rational := uint ('/' uint)?
     var      := x1 | x2 | x3 | eta | xi | psi | x | y
 
-Whitespace is insignificant; there is no implicit multiplication, so
-"2x1" is a syntax error.  Error offsets are 1-based byte positions.
+One regular expression of ASCII classes tokenizes: uint is [0-9]+, a
+name is [A-Za-z][A-Za-z0-9_]*, and space, tab, CR and LF are insignificant
+whitespace; any other character, a Unicode digit or letter included, is
+an "unexpected character" error.  There is no implicit multiplication,
+so "2x1" is a syntax error.  Error offsets are 1-based byte positions.
 Exponents are capped at MAX_EXPONENT, and every product and power is
 refused before it is expanded when its total degree would exceed
 MAX_DEGREE or its predicted term count would exceed MAX_TERMS.  The
@@ -20,6 +23,7 @@ less in the variables the factors use.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -51,40 +55,21 @@ _NAME = "name"
 _OP = "op"
 _END = "end"
 
-
-_DIGITS = frozenset("0123456789")
-_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+# Group names are the token kinds; whitespace has no group and any other
+# character matches "bad".
+_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*/^()])|[ \t\r\n]+|(?P<bad>.)")
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    # ASCII-only: Unicode digit/letter lookalikes are rejected, not parsed.
     tokens: list[tuple[str, object, int]] = []
-    i = 0
-    size = len(text)
-    while i < size:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        start = i + 1  # 1-based
-        if c in _DIGITS:
-            j = i
-            while j < size and text[j] in _DIGITS:
-                j += 1
-            tokens.append((_NUM, int(text[i:j]), start))
-            i = j
-        elif c in _LETTERS:
-            j = i
-            while j < size and (text[j] in _LETTERS or text[j] in _DIGITS or text[j] == "_"):
-                j += 1
-            tokens.append((_NAME, text[i:j], start))
-            i = j
-        elif c in "+-*/^()":
-            tokens.append((_OP, c, start))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", start)
-    tokens.append((_END, None, size + 1))
+    for match in _TOKEN.finditer(text):
+        kind, value, start = match.lastgroup, match.group(), match.start() + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", start)
+        if kind is not None:
+            tokens.append((kind, int(value) if kind == _NUM else value, start))
+    tokens.append((_END, None, len(text) + 1))
     return tokens
 
 

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +21,7 @@ from pardual.polyring import FloatForm, content_and_primitive, X, Y
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -99,6 +102,16 @@ class TestConicDualCommand:
         code, _, err = run(capsys, "conic-dual", "0", "0", "1", "0", "1", "1")
         assert code == 2
         assert "degree" in err
+
+    @pytest.mark.parametrize("coeffs", [
+        ("1", "0", "0", "0", "0", "0"),   # the double line x1^2
+        ("1", "-1", "0", "0", "0", "0"),  # the line pair x1^2 - x2^2
+    ])
+    def test_degenerate_exit_3(self, coeffs, capsys):
+        code, out, err = run(capsys, "conic-dual", "--", *coeffs)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: determinant 0")
 
     def test_malformed_rational(self, capsys):
         code, _, err = run(capsys, "conic-dual", "1", "1", "zebra", "0", "0", "0")
@@ -350,6 +363,10 @@ class TestCommandSurface:
         ("plot-envelope", "x1^2 + x2^2 - 1", "-1e308,0.5e308,-1,1"),
         ("plot", f"{10 ** 400}*x1^2 + x2^2 - 1", "-3,3,-3,3"),
         ("verify", f"{10 ** 400}*x1^2 + x2^2 - 1", "-3,3,-3,3"),
+        # root refinement overflows to NaN samples, which once passed verify
+        ("verify", "x1^2*x2 - 1", "-1e150,1e150,-1e150,1e150"),
+        ("verify", "x1*x2 - 1", "-1e200,1e200,-1e200,1e200"),
+        ("plot-envelope", "x1^2*x2 - 1", "-1e150,1e150,-1e150,1e150"),
     ])
     def test_float_overflow_exit_2(self, command, text, window, capsys):
         # finite bounds whose powers, or a coefficient, overflow a float
@@ -380,6 +397,29 @@ class TestCommandSurface:
         assert code == 2
         assert out == ""
         assert "term count" in err
+
+
+class TestReadmeExamples:
+    def test_cli_block(self, capsys):
+        # every `pardual ...` line of the README's CLI block that is followed
+        # by `# key: value` lines must print exactly those lines
+        text = README.read_text(encoding="utf-8")
+        block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        checked = []
+        for i, line in enumerate(lines):
+            if not line.startswith("pardual "):
+                continue
+            expected = ""
+            for follow in lines[i + 1:]:
+                if not re.fullmatch(r"# \w+: .*", follow):
+                    break
+                expected += follow[2:] + "\n"
+            if expected:
+                code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+                assert (code, out, err) == (0, expected, ""), line
+                checked.append(line.split()[1])
+        assert {"dual", "conic-dual", "eval"} <= set(checked)
 
 
 class TestEvalCommand:

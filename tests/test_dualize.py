@@ -8,6 +8,7 @@ import pytest
 from helpers import conic_determinant, evaluate_float
 from pardual.dualize import (
     ConicMatrix,
+    CurveSamples,
     DegenerateCurveError,
     DegreeError,
     DualCurve,
@@ -28,6 +29,7 @@ from pardual.polyring import (
     X1,
     X2,
     Y,
+    Polynomial,
     content_and_primitive,
     evaluate_exact,
     total_degree,
@@ -175,6 +177,16 @@ class TestConicDual:
             Fraction(0), Fraction(1), Fraction(0))
         assert dual.polynomial(X, Y) == parse("-2*x^2 + y^2 + 2*x - 1")
 
+    def test_determinant_matches_reference(self):
+        rng = random.Random(20261018)
+        for _ in range(50):
+            m = ConicMatrix.of(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                 for _ in range(6)))
+            assert m.determinant() == conic_determinant(m)
+        # the double line x1^2 and the line pair x1^2 - x2^2
+        assert ConicMatrix.of(1, 0, 0, 0, 0, 0).determinant() == 0
+        assert ConicMatrix.of(1, -1, 0, 0, 0, 0).determinant() == 0
+
     def test_formulas_total_on_degenerate_input(self):
         conic_dual_matrix(ConicMatrix.of(1, 1, 0, 0, 0, 0))
         conic_dual_matrix(ConicMatrix.of(1, 0, 0, 0, 0, 0))
@@ -217,6 +229,10 @@ class TestPointImage:
     def test_off_curve_rejected(self):
         with pytest.raises(ValueError, match="not on the curve"):
             point_image_on_dual(curve(CIRCLE_SOURCE), (0.5, 0.5))
+
+    def test_nan_point_not_on_curve(self):
+        with pytest.raises(ValueError, match="not on the curve"):
+            point_image_on_dual(curve(CIRCLE_SOURCE), (math.nan, 0.0))
 
     def test_slope_one_tangent_is_ideal(self):
         s = math.sqrt(0.5)
@@ -295,6 +311,17 @@ class TestSampleCurve:
         b = sample_curve(curve(SEC32_SOURCE), WINDOW, 50)
         assert a == b
 
+    @pytest.mark.parametrize("source, window", [
+        # the root refinement overflows to NaN
+        (FIG9_SOURCE, (-1e150, 1e150, -1e150, 1e150)),
+        ("x1*x2 - 1", (-1e200, 1e200, -1e200, 1e200)),
+        # f is finite at the root x1 = 1, but f1 = 3*x1^2*x2 overflows
+        ("x1^3*x2 - x2 - 1", (0.0, 2.0, 7e307, 1.7e308)),
+    ])
+    def test_nonfinite_sample_raises(self, source, window):
+        with pytest.raises(OverflowError, match="not finite"):
+            sample_curve(curve(source), window, 10)
+
 
 class TestVerifyDuality:
     @pytest.mark.parametrize("source", [
@@ -325,6 +352,14 @@ class TestVerifyDuality:
         report = verify_duality(c, dual_curve(c), samples)
         assert report.tested + report.skipped == len(samples)
 
+    def test_nonfinite_residual_raises(self):
+        # the parabola point (0.505, 0.505^2) maps to (-100, 25.5), where the
+        # term x^100*y^100 overflows to inf: the NaN residual must not pass as 0
+        samples = CurveSamples(((0.505, 0.505 ** 2),), ((1.01, -1.0),))
+        dual = DualCurve(Polynomial.variable(X) ** 100 * Polynomial.variable(Y) ** 100, 2, 0)
+        with pytest.raises(OverflowError, match="residual"):
+            verify_duality(curve("x1^2 - x2"), dual, samples)
+
     def test_no_samples(self):
         c = curve("x1^2 + x2^2 + 1")
         with pytest.raises(NoSamplesError):
@@ -347,3 +382,9 @@ class TestImplicitCurve:
 
     def test_degree_recorded(self):
         assert curve(FIG9_SOURCE).n == 3
+
+    def test_plain_exact_data(self):
+        # no float state: a coefficient beyond the float range is accepted
+        c = curve(f"{10 ** 400}*x1^2 + x2^2 - 1")
+        assert ImplicitCurve.__slots__ == ("f", "n")
+        assert c.n == 2

@@ -120,6 +120,17 @@ class TestParseErrors:
             parse("x1 ? x2")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize("text, position", [
+        ("x1 + \u0663", 6),  # ARABIC-INDIC DIGIT THREE
+        ("\uff381 + 1", 1),  # FULLWIDTH LATIN CAPITAL LETTER X
+        ("2*x\u00e9", 4),  # LATIN SMALL LETTER E WITH ACUTE, inside a name
+        ("x1\f+ 1", 3),  # form feed is not whitespace
+    ])
+    def test_ascii_only(self, text, position):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(text)
+        assert err.value.position == position
+
     def test_division_between_factors(self):
         with pytest.raises(ParseError):
             parse("x1/2")
