@@ -5,9 +5,10 @@ to stdout as "key: value" lines (or SVG text), diagnostics to stderr.
 Exit codes: 0 success, 1 verification above threshold, 2 bad input
 (including a window or coefficient too large for float evaluation),
 3 degenerate curve, 4 degree below 2, 5 no verifiable samples,
-6 unwritable output path; codes 3 to 5 are the exit_code of the error
-class raised.  Each command loads only the modules it runs: a handler
-imports dualize or plot once its input parses.
+6 unwritable output path.  Handlers raise ValueError on bad input; main
+prints the "error:" line and exits with the error's exit_code (3 to 5),
+or 2.  Each command loads only the modules it runs, importing dualize or
+plot once its input parses.
 
 The polynomial argument is read from the first positional, or from stdin
 when it is "-" (first non-comment line).  Use "--" before positional
@@ -30,8 +31,6 @@ DEFAULT_GRID = 256
 DEFAULT_SAMPLES = 100
 MAX_GRID = 2048
 MAX_SAMPLES = 10000
-PANEL_PX = 480
-PANEL_GAP_FRACTION = 0.08
 
 
 def _window(text: str) -> tuple[float, float, float, float]:
@@ -70,6 +69,13 @@ def _read_poly_text(arg: str) -> str:
     raise ParseError("no polynomial on stdin", 1)
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational: {exc}")
+
+
 def _curve_from(arg: str):
     # handlers parse before importing dualize or plot: bad input loads neither
     poly = parse(_read_poly_text(arg))
@@ -102,16 +108,11 @@ def cmd_dual(args) -> int:
 
 
 def cmd_conic_dual(args) -> int:
-    try:
-        values = [Fraction(text) for text in args.coefficients]
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: malformed rational: {exc}", file=sys.stderr)
-        return 2
+    values = [_rational(text) for text in args.coefficients]
     from .dualize import ConicMatrix, DegenerateCurveError, conic_dual_matrix
     source = ConicMatrix.of(*values)
     if not source.is_degree_two():
-        print("error: A1, A2, A4 all zero: not a degree-2 curve", file=sys.stderr)
-        return 2
+        raise ValueError("A1, A2, A4 all zero: not a degree-2 curve")
     if source.determinant() == 0:
         raise DegenerateCurveError("determinant 0: a line pair or double line, no dual conic")
     dual = conic_dual_matrix(source)
@@ -133,46 +134,21 @@ def cmd_verify(args) -> int:
     return 0 if report.max_residual < RESIDUAL_THRESHOLD else 1
 
 
-def two_panel_scene(window, source_segments, dual_segments):
-    """Source curve on the left, dual on the right, sharing one y-range."""
-    from .plot import PlaneScene, Viewport
-    xmin, xmax, ymin, ymax = window
-    span = xmax - xmin
-    gap = PANEL_GAP_FRACTION * span
-    shift = span + gap
-    total_px = int(round(PANEL_PX * (2 * span + gap) / span))
-    vp = Viewport(xmin, xmax + shift, ymin, ymax, total_px, PANEL_PX)
-    scene = PlaneScene(vp)
-    scene.add_segments(source_segments, style="thin")
-    scene.add_segments(dual_segments, style="thick", dx=shift)
-    # axes of the right-hand panel (the scene only auto-draws the left ones)
-    axis = []
-    if xmin <= 0 <= xmax:
-        axis.append(((0.0, ymin), (0.0, ymax)))
-    if ymin <= 0 <= ymax:
-        axis.append(((xmin, 0.0), (xmax, 0.0)))
-    if axis:
-        scene.add_segments(axis, style="axis", dx=shift)
-    return scene
-
-
 def cmd_plot(args) -> int:
     curve = _curve_from(args.poly)
     from .dualize import dual_curve
-    from .plot import Viewport, render_svg, trace_implicit
+    from .plot import Viewport, render_svg, trace_implicit, two_panel_scene
     dual = dual_curve(curve)
-    panel = Viewport(*args.window, PANEL_PX, PANEL_PX)
-    source_segments = trace_implicit(curve.f, panel, args.grid)
-    dual_segments = trace_implicit(dual.g, panel, args.grid)
-    scene = two_panel_scene(args.window, source_segments, dual_segments)
+    panel = Viewport(*args.window)
+    scene = two_panel_scene(panel, trace_implicit(curve.f, panel, args.grid),
+                            trace_implicit(dual.g, panel, args.grid))
     return _write_output(render_svg(scene), args.out)
 
 
 def cmd_plot_envelope(args) -> int:
     curve = _curve_from(args.poly)
     from .plot import Viewport, envelope_scene, render_svg
-    scene = envelope_scene(curve, args.samples, Viewport(*args.window, PANEL_PX, PANEL_PX),
-                           spacing=args.spacing)
+    scene = envelope_scene(curve, args.samples, Viewport(*args.window), spacing=args.spacing)
     return _write_output(render_svg(scene), args.out)
 
 
@@ -183,13 +159,8 @@ def cmd_eval(args) -> int:
         name, _, value = binding.partition("=")
         name = name.strip()
         if name not in VAR_BY_NAME:
-            print(f"error: unknown variable {name!r}", file=sys.stderr)
-            return 2
-        try:
-            point[VAR_BY_NAME[name]] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            print(f"error: malformed rational: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown variable {name!r}")
+        point[VAR_BY_NAME[name]] = _rational(value.strip())
     print(f"value: {evaluate_exact(poly, point)}")
     return 0
 
@@ -206,35 +177,32 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples": dict(type=_capped_int(MAX_SAMPLES), default=DEFAULT_SAMPLES),
         "--spacing": dict(type=float, default=DEFAULT_SPACING),
         "--out": dict(default=None),
+        "--at": dict(required=True, metavar="VAR=RAT,...",
+                     help="bindings such as x1=3/5,x2=-4/5"),
     }
 
-    def add_curve_command(name, help, func, *flags):
+    def add_poly_command(name, help, func, *flags):
         # each command declares exactly the options its handler reads
         sub = commands.add_parser(name, help=help)
         sub.add_argument("poly", help="polynomial text, or - for stdin")
-        for flag in ("--window", *flags):
+        for flag in flags:
             sub.add_argument(flag, **options[flag])
         sub.set_defaults(func=func)
 
-    sub = commands.add_parser("dual", help="print the dual polynomial")
-    sub.add_argument("poly", help="polynomial text, or - for stdin")
-    sub.set_defaults(func=cmd_dual)
+    add_poly_command("dual", "print the dual polynomial", cmd_dual)
 
     sub = commands.add_parser("conic-dual", help="dual conic from six coefficients")
     sub.add_argument("coefficients", nargs=6, metavar="A",
                      help="A1 A2 A3 A4 A5 A6 as rationals (prefix with -- if negative)")
     sub.set_defaults(func=cmd_conic_dual)
 
-    add_curve_command("verify", "numeric duality verification", cmd_verify, "--samples")
-    add_curve_command("plot", "two-panel SVG of source and dual", cmd_plot, "--grid", "--out")
-    add_curve_command("plot-envelope", "tangent-line envelope SVG", cmd_plot_envelope,
-                      "--samples", "--spacing", "--out")
-
-    sub = commands.add_parser("eval", help="exact evaluation at a rational point")
-    sub.add_argument("poly", help="polynomial text, or - for stdin")
-    sub.add_argument("--at", required=True, metavar="VAR=RAT,...",
-                     help="bindings such as x1=3/5,x2=-4/5")
-    sub.set_defaults(func=cmd_eval)
+    add_poly_command("verify", "numeric duality verification", cmd_verify,
+                     "--window", "--samples")
+    add_poly_command("plot", "two-panel SVG of source and dual", cmd_plot,
+                     "--window", "--grid", "--out")
+    add_poly_command("plot-envelope", "tangent-line envelope SVG", cmd_plot_envelope,
+                     "--window", "--samples", "--spacing", "--out")
+    add_poly_command("eval", "exact evaluation at a rational point", cmd_eval, "--at")
     return parser
 
 

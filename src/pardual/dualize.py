@@ -270,10 +270,14 @@ def point_image_on_dual(curve: ImplicitCurve, point: tuple[float, float]) -> Pla
     return _image(_float_forms(curve.f), point)
 
 
+def _require_spacing(d: float) -> None:
+    if not 0 < d < math.inf:
+        raise ValueError("axis spacing must be positive and finite")
+
+
 def line_dual_point(m: float, b: float, d: float = DEFAULT_SPACING) -> PlanePoint:
     """Dual point of the line x2 = m*x1 + b, axes d apart."""
-    if d <= 0:
-        raise ValueError("axis spacing must be positive")
+    _require_spacing(d)
     if m == 1:
         raise IdealPointError("slope-1 line maps to an ideal point")
     return PlanePoint(d / (1.0 - m), b / (1.0 - m))
@@ -285,8 +289,7 @@ def point_to_polyline(values: Sequence[Fraction | float],
     sits at ((i-1)*d, c_i) on the i-th axis."""
     if len(values) < 2:
         raise ValueError("a polyline needs at least two coordinates")
-    if d <= 0:
-        raise ValueError("axis spacing must be positive")
+    _require_spacing(d)
     return [PlanePoint(i * d, float(c)) for i, c in enumerate(values)]
 
 

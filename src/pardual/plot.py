@@ -8,9 +8,9 @@ masks select the cells whose corners differ in sign: only those few are
 marched.  A crossed cell joins its edge crossings in the fixed order
 bottom, left, right, top; only a saddle, with all four edges crossed,
 samples its center to pick the pairs.  Scenes are ordered layers of
-segments with abstract style tokens and an x offset applied when
-rendering; render_svg draws the automatic axes as one more leading layer
-and emits byte-stable SVG 1.1 with the y-axis flipped to mathematical
+segments with style tokens and x offsets; two_panel_scene places source
+and dual side by side, and render_svg draws the source panel's axes
+first and emits byte-stable SVG 1.1, y flipped to mathematical
 orientation and all coordinates printed to three decimals.
 """
 
@@ -19,11 +19,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .dualize import ImplicitCurve, sample_curve
+from .dualize import ImplicitCurve, _require_spacing, point_to_polyline, sample_curve
 from .polyring import DEFAULT_SPACING, X, X1, X2, Y, FloatForm, Polynomial, variables
 
 Point = tuple[float, float]
 Segment = tuple[Point, Point]
+
+PANEL_GAP_FRACTION = 0.08
 
 
 class _ViewportFields(NamedTuple):
@@ -64,11 +66,12 @@ class _Layer(NamedTuple):
 
 
 class PlaneScene:
-    __slots__ = ("viewport", "layers")
+    __slots__ = ("viewport", "panel_xmax", "layers")
 
-    def __init__(self, viewport: Viewport, layers: list[_Layer] | None = None):
+    def __init__(self, viewport: Viewport):
         self.viewport = viewport
-        self.layers = [] if layers is None else layers
+        self.panel_xmax = viewport.xmax  # the source panel, which owns the axes, ends here
+        self.layers: list[_Layer] = []
 
     def add_segments(self, segments: list[Segment], style: str = "thin",
                      dx: float = 0.0) -> None:
@@ -90,14 +93,15 @@ def _axes_pair(p: Polynomial) -> tuple[int, int]:
     raise ValueError("polynomial must depend on the (x1, x2) or (x, y) pair")
 
 
-def trace_implicit(p: Polynomial, vp: Viewport, grid: int = 64) -> list[Segment]:
+def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     """March a grid x grid cell mesh over the viewport and return the
     zero-set segments of p (empty when the curve misses the window).
 
     p is compiled once; the y**b powers are taken once per grid row and the
     restriction [(c*x**a, b), ...] once per grid column, and the cells are
     marched between two adjacent columns, so the full grid of values is
-    never held.  Every value is bit-identical to form(x, y).
+    never held.  Every value is bit-identical to form(x, y); a column with
+    a value that is not finite, hence a sum that is not, raises OverflowError.
 
     Each column is also reduced to a sign mask, an int whose bit j is set
     when value j < 0.  A cell is crossed when its four corners do not all
@@ -127,6 +131,8 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int = 64) -> list[Segment]
         values = [0.0] * len(ys)
         for coeff, b in form.restrict(ax, xv):
             values = [v + coeff * power for v, power in zip(values, y_powers[b])]
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise OverflowError(f"grid column at x = {xv!r} is not finite")
         return values, int("".join(["1" if v < 0 else "0" for v in reversed(values)]), 2)
 
     def interp(x0, y0, v0, x1, y1, v1) -> Point:
@@ -200,20 +206,42 @@ def clip_infinite_line(a: Point, b: Point, vp: Viewport) -> Segment | None:
 def envelope_scene(curve: ImplicitCurve, sample_count: int, vp: Viewport,
                    spacing: float = DEFAULT_SPACING) -> PlaneScene:
     """The over-plotting picture: every sampled curve point drawn as its
-    dual line (the full line through (0, x1) and (spacing, x2), clipped);
+    dual line (the full line through its polyline's two vertices, clipped);
     together the lines envelope the dual curve."""
     if sample_count < 2:
         raise ValueError("sample_count must be at least 2")
-    if not 0 < spacing < math.inf:
-        raise ValueError("axis spacing must be positive and finite")
+    _require_spacing(spacing)
     samples = sample_curve(curve, vp.window(), sample_count)
     segments = []
-    for x1v, x2v in samples.points:
-        clipped = clip_infinite_line((0.0, x1v), (spacing, x2v), vp)
+    for point in samples.points:
+        clipped = clip_infinite_line(*point_to_polyline(point, spacing), vp)
         if clipped is not None:
             segments.append(clipped)
     scene = PlaneScene(vp)
     scene.add_segments(segments, style="thin")
+    return scene
+
+
+def two_panel_scene(panel: Viewport, source_segments: list[Segment],
+                    dual_segments: list[Segment]) -> PlaneScene:
+    """Source segments in panel, dual segments in a copy of it to the right,
+    PANEL_GAP_FRACTION of its x-span apart; x = 0 is drawn where panel spans it."""
+    xmin, xmax, ymin, ymax = panel.window()
+    span = xmax - xmin
+    gap = PANEL_GAP_FRACTION * span
+    shift = span + gap
+    total_px = int(round(panel.width_px * (2 * span + gap) / span))
+    scene = PlaneScene(Viewport(xmin, xmax + shift, ymin, ymax, total_px, panel.height_px))
+    scene.panel_xmax = xmax
+    scene.add_segments(source_segments, style="thin")
+    scene.add_segments(dual_segments, style="thick", dx=shift)
+    axes = []
+    if xmin <= 0 <= xmax:
+        axes.append(((0.0, ymin), (0.0, ymax)))
+    if ymin <= 0 <= ymax:
+        axes.append(((xmin, 0.0), (xmax, 0.0)))
+    if axes:
+        scene.add_segments(axes, style="axis", dx=shift)
     return scene
 
 
@@ -252,8 +280,8 @@ def render_svg(scene: PlaneScene) -> str:
         f'<rect class="frame" x="0.5" y="0.5" '
         f'width="{vp.width_px - 1}" height="{vp.height_px - 1}"/>',
     ]
-    axes = []
-    if vp.xmin <= 0 <= vp.xmax:
+    axes = []  # x = 0 where the source panel spans it, y = 0 across the viewport
+    if vp.xmin <= 0 <= scene.panel_xmax:
         axes.append(((0.0, vp.ymax), (0.0, vp.ymin)))
     if vp.ymin <= 0 <= vp.ymax:
         axes.append(((vp.xmin, 0.0), (vp.xmax, 0.0)))

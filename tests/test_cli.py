@@ -202,6 +202,23 @@ class TestPlotCommands:
                 scale = 1.0 + scale_form.max_abs_term(px, py)
                 assert abs(evaluate_float(g, {X: px, Y: py})) < 0.05 * scale
 
+    @pytest.mark.parametrize("window, vertical_axes", [
+        ("-3,3,-3,3", 2),
+        ("0.5,2,-1,1", 0),
+        # x = 0 falls in the gap between the panels: neither panel spans it
+        ("-3,-1,-3,3", 0),
+    ])
+    def test_vertical_axes_only_where_window_spans_zero(self, window, vertical_axes, capsys):
+        code, out, _ = run(capsys, "plot", f"--window={window}", "--grid", "16",
+                           "x1^2 + x2^2 - 1")
+        assert code == 0
+        ns = "{http://www.w3.org/2000/svg}"
+        segments = [re.findall(r"M (\S+) (\S+) L (\S+) (\S+)", el.get("d"))
+                    for el in ET.fromstring(out).iter(f"{ns}path")
+                    if el.get("class") == "axis"]
+        vertical = [s for layer in segments for s in layer if s[0] == s[2]]
+        assert len(vertical) == vertical_axes
+
     def test_unwritable_path_exit_6(self, capsys, tmp_path):
         code, _, err = run(capsys, "plot", "x1^2 + x2^2 - 1", "--grid", "64",
                            "--out", str(tmp_path / "missing" / "out.svg"))
@@ -367,6 +384,8 @@ class TestCommandSurface:
         ("verify", "x1^2*x2 - 1", "-1e150,1e150,-1e150,1e150"),
         ("verify", "x1*x2 - 1", "-1e200,1e200,-1e200,1e200"),
         ("plot-envelope", "x1^2*x2 - 1", "-1e150,1e150,-1e150,1e150"),
+        # 2*x1^2 overflows to inf, and inf - inf is a NaN grid value
+        ("plot", "2*x1^2 - 2*x2^2 - 1", "-1.3e154,1.3e154,-1.3e154,1.3e154"),
     ])
     def test_float_overflow_exit_2(self, command, text, window, capsys):
         # finite bounds whose powers, or a coefficient, overflow a float
@@ -397,6 +416,19 @@ class TestCommandSurface:
         assert code == 2
         assert out == ""
         assert "term count" in err
+
+    @pytest.mark.parametrize("argv, err", [
+        (["conic-dual", "1", "1", "zebra", "0", "0", "0"],
+         "error: malformed rational: Invalid literal for Fraction: 'zebra'\n"),
+        (["conic-dual", "1", "1", "1/0", "0", "0", "0"],
+         "error: malformed rational: Fraction(1, 0)\n"),
+        (["conic-dual", "0", "0", "1", "0", "1", "1"],
+         "error: A1, A2, A4 all zero: not a degree-2 curve\n"),
+        (["eval", "x1", "--at", "zebra=1"], "error: unknown variable 'zebra'\n"),
+        (["eval", "x1", "--at", "x1=1/0"], "error: malformed rational: Fraction(1, 0)\n"),
+    ])
+    def test_input_error_line(self, argv, err, capsys):
+        assert run(capsys, *argv) == (2, "", err)
 
 
 class TestReadmeExamples:

@@ -254,6 +254,11 @@ class TestLineDualPoint:
         with pytest.raises(IdealPointError):
             line_dual_point(1.0, 0.0)
 
+    def test_bad_spacing(self):
+        for d in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                line_dual_point(0.5, 1.0, d)
+
     def test_concurrency_with_point_duals(self):
         m, b, d = -0.75, 2.0, 1.0
         target = line_dual_point(m, b, d)
@@ -277,8 +282,9 @@ class TestPointToPolyline:
             point_to_polyline([1], 1.0)
 
     def test_bad_spacing(self):
-        with pytest.raises(ValueError):
-            point_to_polyline([1, 2], 0.0)
+        for d in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                point_to_polyline([1, 2], d)
 
 
 class TestSampleCurve:

@@ -240,6 +240,13 @@ class TestTraceImplicit:
         with pytest.raises(ValueError):
             trace_implicit(CIRCLE, VIEW2, 8)
 
+    def test_finite_column_with_overflowing_sum_traced(self):
+        # every value is finite though a column's sum overflows
+        vp = Viewport(-9e153, 9e153, -9e153, 9e153)
+        segments = trace_implicit(CIRCLE, vp, 16)
+        assert segments == reference_trace(CIRCLE, X1, X2, vp, 16)
+        assert segments
+
 
 class TestClip:
     def test_inside(self):
@@ -267,9 +274,11 @@ class TestEnvelopeScene:
             envelope_scene(ImplicitCurve(CIRCLE), 1, VIEW2)
 
     def test_spacing_must_be_positive(self):
-        for spacing in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                envelope_scene(ImplicitCurve(CIRCLE), 8, VIEW2, spacing=spacing)
+        # checked before sampling, so also for a curve with no point in view
+        for curve in (CIRCLE, parse("x1^2 + x2^2 + 1")):
+            for spacing in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="spacing"):
+                    envelope_scene(ImplicitCurve(curve), 8, VIEW2, spacing=spacing)
 
     def test_envelope_touches_dual(self):
         # every tangent's dual point lies on the sample's polyline extension
