@@ -1,17 +1,19 @@
 """Deterministic SVG rendering of curves, duals and tangent-line envelopes.
 
 Implicit curves are traced with marching squares; the grid is evaluated
-column by column through one compiled FloatForm, so only two adjacent
-columns are held at a time.  Each column also becomes an integer sign mask
-(bit j set when value j is negative), and bit operations on two adjacent
-masks select the cells whose corners differ in sign: only those few are
-marched.  A crossed cell joins its edge crossings in the fixed order
-bottom, left, right, top; only a saddle, with all four edges crossed,
-samples its center to pick the pairs.  Scenes are ordered layers of
-segments with style tokens and x offsets; two_panel_scene places source
-and dual side by side, and render_svg draws the source panel's axes
-first and emits byte-stable SVG 1.1, y flipped to mathematical
-orientation and all coordinates printed to three decimals.
+column by column through one compiled FloatForm, one list pass per power
+of y, so only two adjacent columns are held at a time.  Each column also
+becomes an integer sign mask (bit j set when value j is negative), and
+bit operations on two adjacent masks select the cells whose corners
+differ in sign: only those few are marched.  A crossed cell joins its
+edge crossings in the fixed order bottom, left, right, top; only a
+saddle, with all four edges crossed, samples its center to pick the
+pairs.  Scenes are ordered layers of segments with style tokens and x
+offsets; two_panel_scene places source and dual side by side, and
+render_svg draws the source panel's axes first and emits byte-stable SVG
+1.1, y flipped to mathematical orientation and all coordinates printed
+to three decimals; a segment that starts where the previous one ended,
+as printed, continues its subpath.
 """
 
 from __future__ import annotations
@@ -97,11 +99,17 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     """March a grid x grid cell mesh over the viewport and return the
     zero-set segments of p (empty when the curve misses the window).
 
-    p is compiled once; the y**b powers are taken once per grid row and the
-    restriction [(c*x**a, b), ...] once per grid column, and the cells are
-    marched between two adjacent columns, so the full grid of values is
-    never held.  Every value is bit-identical to form(x, y); a column with
-    a value that is not finite, hence a sum that is not, raises OverflowError.
+    p is compiled once; the y**b powers are taken once per grid row, and
+    each grid column x = xv takes p's coefficients in y, form.line(ax, xv),
+    which sums the terms that share a y exponent.  A column's values start
+    at 0.0 and take one list pass c_b * y**b per nonzero coefficient c_b,
+    b ascending, so a column costs one pass per y power and not one per
+    term.  Grouping rounds differently from evaluating p
+    term by term at each node; the tests bound each value's distance from
+    the exact value of p at the float node in units of form.max_abs_term.
+    The cells are marched between two adjacent columns, so the full grid of
+    values is never held.  A column with a value that is not finite, hence
+    a sum that is not, raises OverflowError.
 
     Each column is also reduced to a sign mask, an int whose bit j is set
     when value j < 0.  A cell is crossed when its four corners do not all
@@ -129,8 +137,9 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
 
     def column(xv: float) -> tuple[list[float], int]:
         values = [0.0] * len(ys)
-        for coeff, b in form.restrict(ax, xv):
-            values = [v + coeff * power for v, power in zip(values, y_powers[b])]
+        for coeff, powers in zip(form.line(ax, xv), y_powers):
+            if coeff:
+                values = [v + coeff * power for v, power in zip(values, powers)]
         if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise OverflowError(f"grid column at x = {xv!r} is not finite")
         return values, int("".join(["1" if v < 0 else "0" for v in reversed(values)]), 2)
@@ -222,10 +231,18 @@ def envelope_scene(curve: ImplicitCurve, sample_count: int, vp: Viewport,
     return scene
 
 
+def _y_axis(xmin: float, xmax: float, ymin: float, ymax: float) -> list[Segment]:
+    """The axis x = 0, top to bottom, where [xmin, xmax] spans it: the one
+    rule for the vertical axis of either panel."""
+    return [((0.0, ymax), (0.0, ymin))] if xmin <= 0 <= xmax else []
+
+
 def two_panel_scene(panel: Viewport, source_segments: list[Segment],
                     dual_segments: list[Segment]) -> PlaneScene:
     """Source segments in panel, dual segments in a copy of it to the right,
-    PANEL_GAP_FRACTION of its x-span apart; x = 0 is drawn where panel spans it."""
+    PANEL_GAP_FRACTION of its x-span apart.  render_svg draws the source
+    panel's x = 0 and the y = 0 that crosses both panels; the dual panel's
+    x = 0 is one more axis layer, drawn where panel spans it."""
     xmin, xmax, ymin, ymax = panel.window()
     span = xmax - xmin
     gap = PANEL_GAP_FRACTION * span
@@ -235,13 +252,9 @@ def two_panel_scene(panel: Viewport, source_segments: list[Segment],
     scene.panel_xmax = xmax
     scene.add_segments(source_segments, style="thin")
     scene.add_segments(dual_segments, style="thick", dx=shift)
-    axes = []
-    if xmin <= 0 <= xmax:
-        axes.append(((0.0, ymin), (0.0, ymax)))
-    if ymin <= 0 <= ymax:
-        axes.append(((xmin, 0.0), (xmax, 0.0)))
-    if axes:
-        scene.add_segments(axes, style="axis", dx=shift)
+    axis = _y_axis(xmin, xmax, ymin, ymax)
+    if axis:
+        scene.add_segments(axis, style="axis", dx=shift)
     return scene
 
 
@@ -262,37 +275,49 @@ def _fmt(value: float) -> str:
 
 
 def render_svg(scene: PlaneScene) -> str:
-    """Standalone SVG 1.1 text; identical scenes produce identical bytes."""
+    """Standalone SVG 1.1 text; identical scenes produce identical bytes.
+
+    Each layer is one path.  A segment whose start prints the same as the
+    previous segment's end continues the subpath with "L x y" alone; any
+    other segment, however small the gap, starts a new one with "M x y".
+    The drawn geometry is that of one "M a L b" per segment.  The document
+    is written into one byte buffer and decoded once, so no string per
+    segment is held.
+    """
     vp = scene.viewport
     sx = vp.width_px / (vp.xmax - vp.xmin)
     sy = vp.height_px / (vp.ymax - vp.ymin)
 
-    def to_px(point: Point) -> tuple[float, float]:
-        return ((point[0] - vp.xmin) * sx, (vp.ymax - point[1]) * sy)
+    def to_px(point: Point, dx: float) -> bytes:
+        x, y = point
+        if dx:  # only then: -0.0 + 0.0 is 0.0, which can print differently
+            x += dx
+        return f"{_fmt((x - vp.xmin) * sx)} {_fmt((vp.ymax - y) * sy)}".encode()
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8" standalone="no"?>',
+    out = bytearray(
+        '<?xml version="1.0" encoding="UTF-8" standalone="no"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{vp.width_px}" height="{vp.height_px}" '
-        f'viewBox="0 0 {vp.width_px} {vp.height_px}">',
-        f"<style>{_STYLESHEET}</style>",
-        f'<rect class="bg" x="0" y="0" width="{vp.width_px}" height="{vp.height_px}"/>',
+        f'viewBox="0 0 {vp.width_px} {vp.height_px}">\n'
+        f"<style>{_STYLESHEET}</style>\n"
+        f'<rect class="bg" x="0" y="0" width="{vp.width_px}" height="{vp.height_px}"/>\n'
         f'<rect class="frame" x="0.5" y="0.5" '
-        f'width="{vp.width_px - 1}" height="{vp.height_px - 1}"/>',
-    ]
-    axes = []  # x = 0 where the source panel spans it, y = 0 across the viewport
-    if vp.xmin <= 0 <= scene.panel_xmax:
-        axes.append(((0.0, vp.ymax), (0.0, vp.ymin)))
+        f'width="{vp.width_px - 1}" height="{vp.height_px - 1}"/>\n'.encode())
+    # x = 0 where the source panel spans it, y = 0 across the viewport
+    axes = _y_axis(vp.xmin, scene.panel_xmax, vp.ymin, vp.ymax)
     if vp.ymin <= 0 <= vp.ymax:
         axes.append(((vp.xmin, 0.0), (vp.xmax, 0.0)))
     for layer in ([_Layer(axes, "axis")] if axes else []) + scene.layers:
-        dx = layer.dx
-        parts = []
+        out += f'<path class="{layer.style}" d="'.encode()
+        end = None
         for a, b in layer.data:
-            if dx:  # only then: -0.0 + 0.0 is 0.0, which can print differently
-                a, b = (a[0] + dx, a[1]), (b[0] + dx, b[1])
-            pa, pb = to_px(a), to_px(b)
-            parts.append(f"M {_fmt(pa[0])} {_fmt(pa[1])} L {_fmt(pb[0])} {_fmt(pb[1])}")
-        lines.append(f'<path class="{layer.style}" d="{" ".join(parts)}"/>')
-    lines.append("</svg>\n")  # the final newline rides here: one join, no copy
-    return "\n".join(lines)
+            start = to_px(a, layer.dx)
+            if start != end:
+                out += b"M " if end is None else b" M "
+                out += start
+            end = to_px(b, layer.dx)
+            out += b" L "
+            out += end
+        out += b'"/>\n'
+    out += b"</svg>\n"
+    return out.decode("ascii")

@@ -291,14 +291,19 @@ def evaluate_exact(p: Polynomial, point: Mapping[VarId, Fraction | int]) -> Frac
 class FloatForm:
     """p compiled for repeated float evaluation in the axis pair ax < ay.
 
-    The terms are held in canonical order as (float(coeff), exp_ax, exp_ay),
-    and every value is computed with the float operations of a one-off
+    The terms are held in canonical order as (float(coeff), exp_ax, exp_ay).
+    A call computes each value with the float operations of a one-off
     evaluation of p, in the same order: term = c, then *= x**a, then
     *= y**b, summed from 0.0.  The tests keep that one-off evaluation
-    (evaluate_float in tests/helpers.py) as the reference that each value
+    (evaluate_float in tests/helpers.py) as the reference that each call
     must equal bit for bit.  A factor v**0 is 1.0 and multiplying by it is
     exact, so terms need no branch on a zero exponent.  No Horner scheme:
     it rounds differently and can flip the sign of a value near zero.
+
+    line(var, value) groups the terms by their exponent of the other axis,
+    so a value built from it rounds differently from a call; such a value
+    is checked against the exact one, within a bound in units of
+    max_abs_term, and not bit for bit.
     """
 
     __slots__ = ("axes", "degree", "terms")
@@ -328,22 +333,17 @@ class FloatForm:
             worst = max(worst, abs(c) * x ** a * y ** b)
         return worst
 
-    def restrict(self, var: VarId, value: float) -> list[tuple[float, int]]:
-        """The terms with var fixed at value, in canonical order, as pairs
-        (coefficient, exponent of the other axis).  Fixing ax gives
-        [(c * x**a, b), ...], and multiplying each by y**b and summing from
-        0.0 reproduces __call__ bit for bit."""
-        ax, ay = self.axes
-        if var == ax:
-            return [(c * value ** a, b) for c, a, b in self.terms]
-        if var == ay:
-            return [(c * value ** b, a) for c, a, b in self.terms]
-        raise ValueError(f"variable {VAR_NAMES[var]} is not an axis of this form")
-
     def line(self, var: VarId, value: float) -> list[float]:
         """Dense coefficients in the other axis, ascending, of p restricted
-        to var = value; degree + 1 of them."""
+        to var = value; degree + 1 of them.  Coefficient e sums c * value**a
+        over the terms whose other exponent is e, in canonical order from
+        0.0, where a is the term's exponent of var."""
+        if var not in self.axes:
+            raise ValueError(f"variable {VAR_NAMES[var]} is not an axis of this form")
+        swap = var == self.axes[1]
         coeffs = [0.0] * (self.degree + 1)
-        for c, e in self.restrict(var, value):
-            coeffs[e] += c
+        for c, a, b in self.terms:
+            if swap:
+                a, b = b, a
+            coeffs[b] += c * value ** a
         return coeffs

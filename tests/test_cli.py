@@ -239,17 +239,23 @@ class TestPlotCommands:
 
 
 class TestPinnedOutput:
-    """sha256 of stdout, generated by the code that evaluated the plot grid
-    point by point with evaluate_float.  The float evaluator may get faster
-    but must not move a byte; if a digest moves, find the cause, do not
-    re-pin it."""
+    """sha256 of stdout.  The plot digests were regenerated once, on
+    purpose, together with tests/goldens/*.svg: trace_implicit began to sum
+    a column's terms by y power (one list pass per power instead of one per
+    term, which rounds differently from evaluate_float), render_svg began
+    to continue a subpath with L where a segment starts at the previous
+    end as printed, and the dual panel's axis took the source panel's rule
+    (drawn top to bottom, no second y = 0).  Each moved output decoded to
+    the previous segments in every layer but the axes, and no grid node of
+    these curves changed sign.  Otherwise no digest may move: if one does,
+    find the cause, do not re-pin it."""
 
     SEC32 = "x1^3 - x1^2 - x2^2 + x2 - 1"
 
     @pytest.mark.parametrize("text, digest", [
-        ("x1^2 + x2^2 - 1", "6252afd26804d134cc12eb569b9ea1752a42a4e3890dd1f3be1db2a2461aadac"),
-        ("x1^2*x2 - 1", "2e71d7fc71811032f4cb2c9f661ac4a9fad0b5bf651c422d39c53eb5e0df69c7"),
-        (SEC32, "67d9fd935da7ba461564bac2681c0a15fba510f5abd86ed955a17562d0f62c41"),
+        ("x1^2 + x2^2 - 1", "220caa0e2cd7e35522444daacabafdadbdd51c75a8ab37d6bba12582327ba820"),
+        ("x1^2*x2 - 1", "d5c9e6a55458f8411b87e505b16f3d35a597f2c5e81651ac1b90f98fbc39d083"),
+        (SEC32, "f799716fc40e3ffad93afc690c463ff29d867423b3ffd76b7bf7c2bf9012c59f"),
     ])
     def test_plot_default_grid(self, capsys, text, digest):
         code, out, _ = run(capsys, "plot", text)

@@ -16,9 +16,10 @@ from pardual.plot import (
     envelope_scene,
     render_svg,
     trace_implicit,
+    two_panel_scene,
 )
 from pardual.polyparse import parse
-from pardual.polyring import X, X1, X2, Y, Polynomial, variables
+from pardual.polyring import X, X1, X2, Y, FloatForm, Polynomial, sorted_terms, variables
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -51,12 +52,34 @@ _CASES = {
 }
 
 
+def axis_terms(p, ax, ay):
+    """p's terms in canonical order as (coeff, exponent of ax, exponent of ay)."""
+    return [(coeff, dict(mono).get(ax, 0), dict(mono).get(ay, 0))
+            for mono, coeff in sorted_terms(p)]
+
+
+def grouped_column(p, ax, ay, xv, ys):
+    """p at (xv, y) for each y in ys by trace_implicit's column rule, kept
+    here as its reference: c * xv**a summed per y exponent b over the terms
+    in canonical order from 0.0, then, from 0.0, one list pass c_b * y**b
+    per nonzero c_b, b ascending."""
+    terms = axis_terms(p, ax, ay)
+    coeffs = [0.0] * (max((a + b for _, a, b in terms), default=0) + 1)
+    for coeff, a, b in terms:
+        coeffs[b] += float(coeff) * xv ** a
+    values = [0.0] * len(ys)
+    for b in range(len(coeffs)):
+        if coeffs[b]:
+            values = [v + coeffs[b] * yv ** b for v, yv in zip(values, ys)]
+    return values
+
+
 def reference_trace(p, ax, ay, vp, grid):
-    """Marching squares over the full grid of evaluate_float values, as the
-    trace was computed before it streamed columns through a FloatForm."""
+    """Marching squares over the full grid of grouped_column values, every
+    cell scanned, with the 16-case table; saddle centers by evaluate_float."""
     xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]
     ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
-    values = [[evaluate_float(p, {ax: xv, ay: yv}) for yv in ys] for xv in xs]
+    values = [grouped_column(p, ax, ay, xv, ys) for xv in xs]
 
     def interp(x0, y0, v0, x1, y1, v1):
         t = v0 / (v0 - v1)
@@ -134,18 +157,50 @@ def trace_cases(draw):
     return p, axes, vp, grid
 
 
+# The windows are off the dyadic grid so that powers of the grid
+# coordinates round; the nodal cubic meets a saddle cell.
+REFERENCE_CASES = [
+    ("x1^3 - x1^2 - x2^2 + x2 - 1", (X1, X2), Viewport(-2.9, 3.1, -3.1, 2.9)),
+    ("x1^3 + x2^2 - 3*x1*x2", (X1, X2), Viewport(-1.9, 2.1, -1.9, 2.1)),
+    (SEC32_DUAL, (X, Y), Viewport(-2.95, 3.05, -3.05, 2.95)),
+]
+
+
 class TestTraceImplicit:
-    @pytest.mark.parametrize("text, axes, vp", [
-        ("x1^3 - x1^2 - x2^2 + x2 - 1", (X1, X2), Viewport(-2.9, 3.1, -3.1, 2.9)),
-        ("x1^3 + x2^2 - 3*x1*x2", (X1, X2), Viewport(-1.9, 2.1, -1.9, 2.1)),
-        (SEC32_DUAL, (X, Y), Viewport(-2.95, 3.05, -3.05, 2.95)),
-    ])
+    @pytest.mark.parametrize("text, axes, vp", REFERENCE_CASES)
     def test_matches_point_by_point_reference(self, text, axes, vp):
-        # Exact float equality: the streamed columns evaluate bit-identically.
-        # The windows are off the dyadic grid so that powers of the grid
-        # coordinates round; the nodal cubic meets a saddle cell.
+        # Exact float equality: the streamed columns evaluate bit-identically
+        # to the grouped rule at every node.
         p = parse(text)
         assert trace_implicit(p, vp, 64) == reference_trace(p, *axes, vp, 64)
+
+    @pytest.mark.parametrize("text, axes, vp", REFERENCE_CASES)
+    def test_grouped_columns_near_exact(self, text, axes, vp):
+        # Every grouped-rule value v at a float node (x, y) lies within
+        # T * (T + d + 8) * 2**-53 * M of p's exact value there, for T terms,
+        # total degree d and M = FloatForm.max_abs_term(x, y).  Each term
+        # passes through at most T + d + 6 roundings of relative size
+        # 2**-53: the coefficient, two products, x**a and y**b at two each,
+        # T - 1 additions within its y power and d across them (adding the
+        # first power to 0.0 is exact).  The terms sum to at most T * M in
+        # absolute value; the extra 2 covers second-order terms and the
+        # rounding of M itself.
+        p = parse(text)
+        ax, ay = axes
+        grid = 64
+        xs, ys = grid_nodes(vp.xmin, vp.xmax, grid), grid_nodes(vp.ymin, vp.ymax, grid)
+        form = FloatForm(p, ax, ay)
+        terms = axis_terms(p, ax, ay)
+        bound = Fraction(len(terms) * (len(terms) + form.degree + 8), 2 ** 53)
+        y_powers = [[Fraction(yv) ** b for b in range(form.degree + 1)] for yv in ys]
+        for xv in xs:
+            exact_x = Fraction(xv)
+            exact_coeffs = [Fraction(0)] * (form.degree + 1)
+            for coeff, a, b in terms:
+                exact_coeffs[b] += coeff * exact_x ** a
+            for yv, powers, value in zip(ys, y_powers, grouped_column(p, ax, ay, xv, ys)):
+                exact = sum(c * power for c, power in zip(exact_coeffs, powers))
+                assert abs(Fraction(value) - exact) <= bound * Fraction(form.max_abs_term(xv, yv))
 
     @settings(max_examples=80, deadline=None)
     @given(trace_cases())
@@ -317,7 +372,77 @@ def _point_segment_distance(point, segment):
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
+def decode_path(d):
+    """The segments of a path of M and L commands, as printed strings: each
+    L draws from the pen, which M moves and L leaves at its point."""
+    tokens = d.split()
+    assert len(tokens) % 3 == 0 and tokens[:1] in ([], ["M"])
+    segments = []
+    for k in range(0, len(tokens), 3):
+        command, x, y = tokens[k:k + 3]
+        assert command in ("M", "L")
+        if command == "L":
+            segments.append((pen, (x, y)))
+        pen = (x, y)
+    return segments
+
+
+def formatted_segments(scene, segments, dx=0.0):
+    """segments shifted by dx and mapped to the scene's pixels, printed to
+    three decimals, as render_svg writes a segment's two ends."""
+    vp = scene.viewport
+    sx = vp.width_px / (vp.xmax - vp.xmin)
+    sy = vp.height_px / (vp.ymax - vp.ymin)
+
+    def to_px(point):
+        x, y = point
+        if dx:
+            x += dx
+        return (f"{(x - vp.xmin) * sx:.3f}", f"{(vp.ymax - y) * sy:.3f}")
+
+    return [(to_px(a), to_px(b)) for a, b in segments]
+
+
+def rendered_paths(scene):
+    ns = "{http://www.w3.org/2000/svg}"
+    return [(el.get("class"), el.get("d"))
+            for el in ET.fromstring(render_svg(scene)).iter(f"{ns}path")]
+
+
 class TestRenderSvg:
+    @pytest.mark.parametrize("text", ["x1^2 + x2^2 - 1", "x1^2*x2 - 1",
+                                      "x1^3 - x1^2 - x2^2 + x2 - 1"])
+    def test_subpaths_round_trip(self, text):
+        # Decoding each path gives back its layer's segments as formatted:
+        # continuing a subpath with L drops no segment and invents none.
+        # The plot scene at grid 64 has the automatic axes, the two panels
+        # and the dual panel's axis layer.
+        f = parse(text)
+        panel = Viewport(-3.0, 3.0, -3.0, 3.0)
+        scene = two_panel_scene(panel, trace_implicit(f, panel, 64),
+                                trace_implicit(dual_curve(ImplicitCurve(f)).g, panel, 64))
+        paths = rendered_paths(scene)
+        vp = scene.viewport
+        automatic = [((0.0, vp.ymax), (0.0, vp.ymin)), ((vp.xmin, 0.0), (vp.xmax, 0.0))]
+        assert [style for style, _ in paths] == ["axis", "thin", "thick", "axis"]
+        expected = [formatted_segments(scene, automatic)]
+        expected += [formatted_segments(scene, layer.data, layer.dx) for layer in scene.layers]
+        assert [decode_path(d) for _, d in paths] == expected
+        assert sum(d.count("M") for _, d in paths) < sum(map(len, expected))
+
+    def test_gap_starts_new_subpath(self):
+        # One unit is one pixel: an end and a start 0.001 px apart print
+        # differently and start a new subpath; 0.0004 px apart they print
+        # alike and the subpath continues.
+        scene = PlaneScene(Viewport(0.0, 100.0, 0.0, 100.0, 100, 100))
+        segments = [((10.0, 10.0), (20.0, 20.0)), ((20.0, 20.0), (30.0, 10.0)),
+                    ((30.001, 10.0), (40.0, 40.0)), ((40.0004, 40.0), (50.0, 50.0))]
+        scene.add_segments(segments, style="thin")
+        [(_, d)] = [path for path in rendered_paths(scene) if path[0] == "thin"]
+        assert d == ("M 10.000 90.000 L 20.000 80.000 L 30.000 90.000"
+                     " M 30.001 90.000 L 40.000 60.000 L 50.000 50.000")
+        assert decode_path(d) == formatted_segments(scene, segments)
+
     def test_empty_scene_valid(self):
         svg = render_svg(PlaneScene(VIEW2))
         root = ET.fromstring(svg)
