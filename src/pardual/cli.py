@@ -160,6 +160,8 @@ def cmd_eval(args) -> int:
         name = name.strip()
         if name not in VAR_BY_NAME:
             raise ValueError(f"unknown variable {name!r}")
+        if VAR_BY_NAME[name] in point:
+            raise ValueError(f"variable {name!r} is bound twice")
         point[VAR_BY_NAME[name]] = _rational(value.strip())
     print(f"value: {evaluate_exact(poly, point)}")
     return 0

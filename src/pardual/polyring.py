@@ -68,7 +68,9 @@ def _mono_key(mono: Monomial) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.  A
+    constant compares equal to its int or Fraction value; no hash is
+    defined, so a Polynomial is neither a dict key nor a set member."""
 
     __slots__ = ("_terms",)
 
@@ -104,9 +106,6 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self._terms == Polynomial.constant(other)._terms
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def _coerced(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):

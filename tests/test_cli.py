@@ -432,6 +432,7 @@ class TestCommandSurface:
          "error: A1, A2, A4 all zero: not a degree-2 curve\n"),
         (["eval", "x1", "--at", "zebra=1"], "error: unknown variable 'zebra'\n"),
         (["eval", "x1", "--at", "x1=1/0"], "error: malformed rational: Fraction(1, 0)\n"),
+        (["eval", "x1", "--at", "x1=1, x1=2"], "error: variable 'x1' is bound twice\n"),
     ])
     def test_input_error_line(self, argv, err, capsys):
         assert run(capsys, *argv) == (2, "", err)

@@ -9,6 +9,7 @@ from pardual.dualize import DegenerateCurveError, ImplicitCurve, dual_curve
 from pardual.polyparse import parse
 from pardual.polyring import (
     ETA,
+    NUM_VARS,
     PSI,
     X,
     X1,
@@ -65,6 +66,12 @@ class TestArithmetic:
     def test_scalar_coercion(self):
         assert 1 - parse("x") == parse("1 - x")
         assert Fraction(1, 2) * parse("2*x1") == parse("x1")
+
+    def test_unhashable(self):
+        # a constant equals its int value, so a hash would have to agree with int's
+        for p in (Polynomial(), Polynomial.constant(3), parse("x1*y")):
+            with pytest.raises(TypeError):
+                hash(p)
 
 
 class TestDerivative:
@@ -243,6 +250,34 @@ class TestRingAxioms:
     @given(all_variable_polynomials)
     def test_variables_subset_of_registry(self, p):
         assert all(0 <= v < 8 for v in variables(p))
+
+
+# eight numerators over one denominator: cheaper to draw than eight fractions
+rational_points = st.tuples(
+    st.lists(st.integers(-15, 15), min_size=NUM_VARS, max_size=NUM_VARS), st.integers(1, 5),
+).map(lambda draw: {var: Fraction(n, draw[1]) for var, n in enumerate(draw[0])})
+
+
+class TestEvaluationHomomorphism:
+    """Exact evaluation at a point of all eight variables maps each ring
+    operation onto the same operation on the values.  TestRingAxioms only
+    compares results with each other, so an exponent slip that every
+    operation makes alike passes it but not this."""
+
+    @given(all_variable_polynomials, all_variable_polynomials, st.integers(0, 3),
+           st.integers(0, NUM_VARS - 1), rational_points)
+    def test_operations_map_onto_values(self, p, q, k, var, point):
+        p_at, q_at = evaluate_exact(p, point), evaluate_exact(q, point)
+        assert evaluate_exact(p + q, point) == p_at + q_at
+        assert evaluate_exact(p * q, point) == p_at * q_at
+        assert evaluate_exact(p ** k, point) == p_at ** k
+        assert (evaluate_exact(substitute(p, {var: q}), point)
+                == evaluate_exact(p, point | {var: q_at}))
+        # homogenize needs a polynomial without x3: p's terms free of it
+        r = Polynomial({mono: c for mono, c in p.terms.items() if X3 not in dict(mono)})
+        if r:
+            assert (evaluate_exact(homogenize(r, X3), point | {X3: 1})
+                    == evaluate_exact(r, point))
 
 
 def reference_line_coefficients(f, fixed_var, fixed_val, free_var):
