@@ -4,11 +4,11 @@ Commands: dual, conic-dual, verify, plot, plot-envelope, eval.  Results go
 to stdout as "key: value" lines (or SVG text), diagnostics to stderr.
 Exit codes: 0 success, 1 verification above threshold, 2 bad input
 (including a window or coefficient too large for float evaluation),
-3 degenerate curve, 4 degree below 2, 5 no verifiable samples,
-6 unwritable output path.  Handlers raise ValueError on bad input; main
-prints the "error:" line and exits with the error's exit_code (3 to 5),
-or 2.  Each command loads only the modules it runs, importing dualize or
-plot once its input parses.
+3 degenerate curve, 4 degree below 2 or above 12, 5 no verifiable
+samples, 6 unwritable output path.  Handlers raise ValueError on bad
+input; main prints the "error:" line and exits with the error's
+exit_code (3 to 5), or 2.  Each command loads only the modules it runs,
+importing dualize or plot once its input parses.
 
 The polynomial argument is read from the first positional, or from stdin
 when it is "-" (first non-comment line).  Use "--" before positional

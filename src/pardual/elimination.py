@@ -36,6 +36,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .polyring import (
     ETA,
+    NUM_VARS,
     PSI,
     VAR_NAMES,
     X,
@@ -45,6 +46,8 @@ from .polyring import (
     Y,
     Monomial,
     Polynomial,
+    exponents,
+    monomial,
     variables,
 )
 
@@ -83,17 +86,16 @@ def as_binary_form(p: Polynomial) -> BinaryForm:
         raise ValueError("the zero polynomial is not a binary form")
     degree = None
     grouped: dict[int, dict[Monomial, Fraction]] = {}
+    # the other variables in registry order; a stray x3 is kept for BinaryForm to refuse
+    others = [var for var in range(NUM_VARS) if var not in (X1, X2)]
     for mono, coeff in p.terms.items():
-        exps = dict(mono)
-        e1 = exps.pop(X1, 0)
-        e2 = exps.pop(X2, 0)
+        e1, e2, *rest = exponents(mono, (X1, X2, *others))
         total = e1 + e2
         if degree is None:
             degree = total
         elif total != degree:
             raise ValueError("polynomial is not homogeneous in (x1, x2)")
-        rest = tuple(sorted(exps.items()))
-        grouped.setdefault(e1, {})[rest] = coeff
+        grouped.setdefault(e1, {})[monomial(others, rest)] = coeff
     coeffs = tuple(Polynomial(grouped.get(i, {})) for i in range(degree + 1))
     return BinaryForm(degree, coeffs)
 
@@ -104,20 +106,21 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise ValueError("Sylvester matrix needs forms of degree at least 1")
+    used = sorted(frozenset().union(*map(variables, f.coeffs + g.coeffs)))
     # Rational forms are scaled to integer ones: Res(cF, dG) = c^m d^n Res(F, G).
     f_scale, g_scale = _denominator(f), _denominator(g)
-    coeffs = _scaled(f, f_scale).coeffs + _scaled(g, g_scale).coeffs
-
-    used = sorted(frozenset().union(*map(variables, coeffs)))
-    bounds = [m * _max_degree(f, v) + n * _max_degree(g, v) for v in used]
+    coeffs = [{exponents(mono, used): (c * scale).numerator for mono, c in p.terms.items()}
+              for form, scale in ((f, f_scale), (g, g_scale)) for p in form.coeffs]
+    bounds = [m * _max_degree(coeffs[:n + 1], axis) + n * _max_degree(coeffs[n + 1:], axis)
+              for axis in range(len(used))]
     axes = [range(-(bound // 2), bound - bound // 2 + 1) for bound in bounds]
 
-    columns = [_grid_values(_integer_terms(p, used), axes) for p in coeffs]
+    columns = [_grid_values(coeff, axes) for coeff in coeffs]
     values = [_integer_resultant(point[:n + 1], point[n + 1:]) for point in zip(*columns)]
     _interpolate_grid(values, axes)
     divisor = f_scale ** m * g_scale ** n
     return Polynomial({
-        tuple((v, e) for v, e in zip(used, exps) if e): Fraction(value, divisor)
+        monomial(used, exps): Fraction(value, divisor)
         for exps, value in zip(product(*(range(len(axis)) for axis in axes)), values)
         if value
     })
@@ -188,25 +191,12 @@ def _exact_quotients(values: list[int], divisor: int) -> list[int]:
     return quotients
 
 
-def _max_degree(form: BinaryForm, var: int) -> int:
-    return max((dict(mono).get(var, 0) for p in form.coeffs for mono in p.terms), default=0)
+def _max_degree(coeffs: list[dict[tuple[int, ...], int]], axis: int) -> int:
+    return max((exps[axis] for coeff in coeffs for exps in coeff), default=0)
 
 
 def _denominator(form: BinaryForm) -> int:
     return lcm(*(c.denominator for p in form.coeffs for c in p.terms.values()))
-
-
-def _scaled(form: BinaryForm, scale: int) -> BinaryForm:
-    return form if scale == 1 else BinaryForm(form.degree, tuple(p * scale for p in form.coeffs))
-
-
-def _integer_terms(p: Polynomial, used: list[int]) -> dict[tuple[int, ...], int]:
-    """p, whose coefficients are integers, as {exponents over used: coefficient}."""
-    terms = {}
-    for mono, coeff in p.terms.items():
-        exps = dict(mono)
-        terms[tuple(exps.get(v, 0) for v in used)] = coeff.numerator
-    return terms
 
 
 def _grid_values(terms: dict[tuple[int, ...], int], axes: list[range]) -> Iterator[int]:

@@ -28,10 +28,11 @@ from fractions import Fraction
 from math import comb
 
 from .polyring import (
+    ONE_MONOMIAL,
     Polynomial,
     VAR_BY_NAME,
     VAR_NAMES,
-    mono_degree,
+    exponents,
     sorted_terms,
     total_degree,
     variables,
@@ -184,11 +185,8 @@ def parse(text: str) -> Polynomial:
 
 
 def _mono_text(mono) -> str:
-    parts = []
-    for var, exp in sorted(mono):
-        name = VAR_NAMES[var]
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(parts)
+    return "*".join(name if exp == 1 else f"{name}^{exp}"
+                    for name, exp in zip(VAR_NAMES, exponents(mono)) if exp)
 
 
 def print_poly(p: Polynomial) -> str:
@@ -198,7 +196,7 @@ def print_poly(p: Polynomial) -> str:
     pieces: list[str] = []
     for position, (mono, coeff) in enumerate(sorted_terms(p)):
         magnitude = abs(coeff)
-        if mono_degree(mono) == 0:
+        if mono == ONE_MONOMIAL:
             body = str(magnitude)
         elif magnitude == 1:
             body = _mono_text(mono)

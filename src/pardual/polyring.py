@@ -2,23 +2,24 @@
 
 The variable set is a fixed eight-slot registry: the source-plane pair
 (x1, x2), the homogenizing variable x3, the gradient-direction triple
-(eta, xi, psi) and the image-plane pair (x, y).  A monomial is a sorted
-tuple of (variable, exponent) pairs with no zero exponents; a polynomial
-maps monomials to nonzero rational coefficients, held as int or Fraction.
-The constructor stores integral values as int and integer arithmetic keeps
-them int, so an integer polynomial (every primitive part, every dual)
-costs no Fraction object per term.  Values are immutable
-and every operation is a pure function, so everything here is safe to
-share across threads.  No float ever enters the arithmetic; the one float
-view is FloatForm, a polynomial compiled once for repeated evaluation in a
-pair of variables.
+(eta, xi, psi) and the image-plane pair (x, y).  Only this module knows
+how a monomial is stored (a sorted tuple of (variable, exponent) pairs
+with no zero exponents); every other module reads one with exponents()
+and builds one with monomial().  A polynomial maps monomials to nonzero
+rational coefficients, held as int or Fraction.  The constructor stores
+integral values as int and integer arithmetic keeps them int, so an
+integer polynomial (every primitive part, every dual) costs no Fraction
+object per term.  Values are immutable and every operation is a pure
+function, so everything here is safe to share across threads.  No float
+ever enters the arithmetic; the one float view is FloatForm, a
+polynomial compiled once for repeated evaluation in a pair of variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 VarId = int
 
@@ -31,7 +32,6 @@ NUM_VARS = len(VAR_NAMES)
 # the image map eta -> 1-x, xi -> x of dualize.dual_curve puts them at x = 0, 1.
 DEFAULT_SPACING = 1.0
 
-# A monomial: ((VarId, exponent), ...) sorted by VarId, all exponents > 0.
 Monomial = tuple
 ONE_MONOMIAL: Monomial = ()
 
@@ -53,18 +53,25 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def mono_exponents(mono: Monomial) -> tuple[int, ...]:
-    """Dense exponent vector over the full registry, for ordering."""
+def exponents(mono: Monomial, over: Sequence[VarId] | None = None) -> tuple[int, ...]:
+    """mono's exponents in the variables over (default: all), 0 where absent."""
     exps = [0] * NUM_VARS
     for var, exp in mono:
         exps[var] = exp
-    return tuple(exps)
+    # built from a list, the tuple has its exact size; one built from a generator is resized,
+    # and freed ones pile up on CPython's tuple free list (dual-corpus pass peak +158 KiB)
+    return tuple(exps if over is None else [exps[var] for var in over])
+
+
+def monomial(over: Sequence[VarId], exps: Sequence[int]) -> Monomial:
+    """The canonical monomial of exponents exps in the variables over (in registry order)."""
+    return tuple((var, exp) for var, exp in zip(over, exps) if exp)
 
 
 def _mono_key(mono: Monomial) -> tuple:
     # Graded lexicographic: total degree first, ties by the exponent
     # vector in registry order (x1 before x2 before ... before y).
-    return (mono_degree(mono), mono_exponents(mono))
+    return (mono_degree(mono), exponents(mono))
 
 
 class Polynomial:
@@ -91,7 +98,7 @@ class Polynomial:
     def variable(cls, var: VarId) -> "Polynomial":
         if not 0 <= var < NUM_VARS:
             raise ValueError(f"variable index {var} outside the registry")
-        return cls({((var, 1),): 1})
+        return cls({monomial((var,), (1,)): 1})
 
     @property
     def terms(self) -> Mapping[Monomial, Coefficient]:
@@ -314,7 +321,7 @@ class FloatForm:
         if stray:
             raise ValueError(f"variable {VAR_NAMES[min(stray)]} is unbound")
         self.axes = (ax, ay)
-        self.terms = tuple((float(coeff), dict(mono).get(ax, 0), dict(mono).get(ay, 0))
+        self.terms = tuple((float(coeff), *exponents(mono, self.axes))
                            for mono, coeff in sorted_terms(p))
         self.degree = max((a + b for _, a, b in self.terms), default=0)
 

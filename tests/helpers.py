@@ -5,19 +5,27 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from pardual.polyring import NUM_VARS, VAR_NAMES, X1, X2, Polynomial, sorted_terms
+from pardual.polyring import (
+    NUM_VARS,
+    VAR_NAMES,
+    X1,
+    X2,
+    Polynomial,
+    exponents,
+    monomial,
+    sorted_terms,
+)
 
 
 @st.composite
 def monomials(draw, variables=(X1, X2), max_degree=4):
+    """A monomial of degree <= max_degree in variables (registry order)."""
     remaining = max_degree
-    exps = {}
-    for var in variables:
-        e = draw(st.integers(min_value=0, max_value=remaining))
-        if e:
-            exps[var] = e
-            remaining -= e
-    return tuple(sorted(exps.items()))
+    exps = []
+    for _ in variables:
+        exps.append(draw(st.integers(min_value=0, max_value=remaining)))
+        remaining -= exps[-1]
+    return monomial(variables, exps)
 
 
 @st.composite
@@ -47,7 +55,9 @@ def evaluate_float(p, point):
     total = 0.0
     for mono, coeff in sorted_terms(p):
         term = float(coeff)
-        for var, exp in mono:
+        for var, exp in enumerate(exponents(mono)):
+            if not exp:
+                continue
             if var not in point:
                 raise ValueError(f"variable {VAR_NAMES[var]} is unbound")
             term *= float(point[var]) ** exp

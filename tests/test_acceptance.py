@@ -45,6 +45,7 @@ from pardual.polyring import (
     content_and_primitive,
     evaluate_exact,
     homogenize,
+    monomial,
     partial_derivative,
     total_degree,
 )
@@ -165,8 +166,7 @@ def _random_dense_curve(rng, degree):
         for e2 in range(degree + 1 - e1):
             coeff = rng.randint(-9, 9)
             if coeff:
-                mono = tuple(pair for pair in ((X1, e1), (X2, e2)) if pair[1])
-                terms[mono] = Fraction(coeff)
+                terms[monomial((X1, X2), (e1, e2))] = Fraction(coeff)
     poly = Polynomial(terms)
     if not poly or total_degree(poly) != degree:
         return None

@@ -47,6 +47,10 @@ class TestDualCommand:
         assert out == ""
         assert err != ""
 
+    def test_degree_above_cap_exit_4(self, capsys):
+        assert run(capsys, "dual", "x1^13 + x2^13 - 1") == (
+            4, "", "error: dual_curve supports degree <= 12 (got 13)\n")
+
     def test_reducible_exit_3(self, capsys):
         code, out, err = run(capsys, "dual", "x1^2 - x2^2")
         assert code == 3

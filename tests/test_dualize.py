@@ -139,6 +139,11 @@ class TestDualCurve:
         with pytest.raises(DegreeError):
             dual_curve(curve("x1 + x2"))
 
+    def test_degree_above_cap_rejected(self):
+        # refused before the lift; the cap itself, degree 12, takes about 30 s
+        with pytest.raises(DegreeError, match="degree <= 12"):
+            dual_curve(curve("x1^13 + x2^13 - 1"))
+
     def test_reducible_pair_of_lines(self):
         with pytest.raises(DegenerateCurveError):
             dual_curve(curve("x1^2 - x2^2"))

@@ -11,6 +11,7 @@ from pardual.elimination import BinaryForm, _interpolate, as_binary_form, result
 from pardual.polyparse import parse
 from pardual.polyring import (
     ETA,
+    ONE_MONOMIAL,
     PSI,
     X,
     X1,
@@ -20,9 +21,11 @@ from pardual.polyring import (
     Y,
     Polynomial,
     homogenize,
+    monomial,
     partial_derivative,
     substitute,
     total_degree,
+    variables,
 )
 
 
@@ -40,7 +43,7 @@ def form_product(roots):
 
 
 def rescaled_cone(f):
-    cone = homogenize(f, X3) if X3 not in {v for m in f.terms for v, _ in m} else f
+    cone = homogenize(f, X3) if X3 not in variables(f) else f
     x1 = Polynomial.variable(X1)
     x2 = Polynomial.variable(X2)
     return substitute(cone, {
@@ -176,7 +179,7 @@ class TestDeterminant:
 
 def integer_rows(f, g):
     """The Sylvester matrix of forms with constant coefficients, as integers."""
-    return [[int(p.terms.get((), 0)) for p in row] for row in sylvester_matrix(f, g)]
+    return [[int(p.terms.get(ONE_MONOMIAL, 0)) for p in row] for row in sylvester_matrix(f, g)]
 
 
 class TestNodeKernel:
@@ -303,9 +306,9 @@ class TestResultant:
     def test_commutes_with_image_map(self, degree, data):
         # substitution is a ring homomorphism, so it commutes with the
         # resultant: the pipeline may apply the image map first
-        monos = [((X1, i), (X2, t - i)) for t in range(degree + 1) for i in range(t + 1)]
+        monos = [monomial((X1, X2), (i, t - i)) for t in range(degree + 1) for i in range(t + 1)]
         coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=len(monos), max_size=len(monos)))
-        f = Polynomial({tuple(p for p in mono if p[1]): c for mono, c in zip(monos, coeffs)})
+        f = Polynomial(dict(zip(monos, coeffs)))
         assume(f and total_degree(f) == degree)
         cone = rescaled_cone(f)
         d1, d2 = partial_derivative(cone, X1), partial_derivative(cone, X2)

@@ -19,7 +19,17 @@ from pardual.plot import (
     two_panel_scene,
 )
 from pardual.polyparse import parse
-from pardual.polyring import X, X1, X2, Y, FloatForm, Polynomial, sorted_terms, variables
+from pardual.polyring import (
+    X,
+    X1,
+    X2,
+    Y,
+    FloatForm,
+    Polynomial,
+    exponents,
+    sorted_terms,
+    variables,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -54,8 +64,7 @@ _CASES = {
 
 def axis_terms(p, ax, ay):
     """p's terms in canonical order as (coeff, exponent of ax, exponent of ay)."""
-    return [(coeff, dict(mono).get(ax, 0), dict(mono).get(ay, 0))
-            for mono, coeff in sorted_terms(p)]
+    return [(coeff, *exponents(mono, (ax, ay))) for mono, coeff in sorted_terms(p)]
 
 
 def grouped_column(p, ax, ay, xv, ys):

@@ -6,23 +6,23 @@ from hypothesis import strategies as st
 
 from helpers import all_variable_polynomials
 from pardual.polyparse import MAX_DEGREE, MAX_EXPONENT, MAX_TERMS, ParseError, parse, print_poly
-from pardual.polyring import X1, X2, Polynomial
+from pardual.polyring import ONE_MONOMIAL, X1, X2, Polynomial, monomial
 
 
 class TestParse:
     def test_cubic(self):
         p = parse("x1^3 - x1^2 - x2^2 + x2 - 1")
         assert p.terms == {
-            ((X1, 3),): Fraction(1),
-            ((X1, 2),): Fraction(-1),
-            ((X2, 2),): Fraction(-1),
-            ((X2, 1),): Fraction(1),
-            (): Fraction(-1),
+            monomial((X1,), (3,)): Fraction(1),
+            monomial((X1,), (2,)): Fraction(-1),
+            monomial((X2,), (2,)): Fraction(-1),
+            monomial((X2,), (1,)): Fraction(1),
+            ONE_MONOMIAL: Fraction(-1),
         }
 
     def test_fig9_curve(self):
         p = parse("x1^2*x2 - 1")
-        assert p.terms == {((X1, 2), (X2, 1)): Fraction(1), (): Fraction(-1)}
+        assert p.terms == {monomial((X1, X2), (2, 1)): Fraction(1), ONE_MONOMIAL: Fraction(-1)}
 
     def test_zero(self):
         assert parse("0") == Polynomial()

@@ -10,6 +10,7 @@ from pardual.polyparse import parse
 from pardual.polyring import (
     ETA,
     NUM_VARS,
+    ONE_MONOMIAL,
     PSI,
     X,
     X1,
@@ -21,8 +22,10 @@ from pardual.polyring import (
     Polynomial,
     content_and_primitive,
     evaluate_exact,
+    exponents,
     homogenize,
     mono_degree,
+    monomial,
     partial_derivative,
     sorted_terms,
     substitute,
@@ -44,9 +47,10 @@ class TestArithmetic:
 
     def test_integral_coefficients_held_as_int(self):
         # integer polynomials carry no Fraction object per term
-        p = Polynomial({((X1, 1),): Fraction(6, 3), (): Fraction(1, 2)})
-        assert type(p.terms[((X1, 1),)]) is int
-        assert p.terms[()] == Fraction(1, 2)
+        x1 = monomial((X1,), (1,))
+        p = Polynomial({x1: Fraction(6, 3), ONE_MONOMIAL: Fraction(1, 2)})
+        assert type(p.terms[x1]) is int
+        assert p.terms[ONE_MONOMIAL] == Fraction(1, 2)
         q = parse("3*x1^2 - 2*x2") * parse("x1 - 5") + parse("7")
         assert all(type(c) is int for c in q.terms.values())
         _, primitive = content_and_primitive(parse("1/2*x1 + 3/4"))
@@ -252,6 +256,33 @@ class TestRingAxioms:
         assert all(0 <= v < 8 for v in variables(p))
 
 
+class TestMonomialFormat:
+    """exponents and monomial are how every other module reads and builds a
+    monomial, so their contract is checked through them alone."""
+
+    def test_absent_variables_read_zero(self):
+        mono = monomial((X1, Y), (2, 3))
+        assert exponents(mono, (Y, X2, X1)) == (3, 0, 2)
+        assert exponents(mono) == (2, 0, 0, 0, 0, 0, 0, 3)
+        assert monomial((X1, X2), (0, 0)) == ONE_MONOMIAL
+        assert exponents(ONE_MONOMIAL, (X,)) == (0,)
+
+    @given(all_variable_polynomials)
+    def test_monomial_inverts_exponents(self, p):
+        registry = tuple(range(NUM_VARS))
+        used = sorted(variables(p))
+        for mono in p.terms:
+            assert monomial(registry, exponents(mono, registry)) == mono
+            assert monomial(used, exponents(mono, used)) == mono
+
+    @given(all_variable_polynomials)
+    def test_sorted_terms_is_graded_lex_on_exponents(self, p):
+        def key(term):
+            exps = exponents(term[0])
+            return (sum(exps), exps)
+        assert sorted_terms(p) == sorted(p.terms.items(), key=key, reverse=True)
+
+
 # eight numerators over one denominator: cheaper to draw than eight fractions
 rational_points = st.tuples(
     st.lists(st.integers(-15, 15), min_size=NUM_VARS, max_size=NUM_VARS), st.integers(1, 5),
@@ -274,7 +305,7 @@ class TestEvaluationHomomorphism:
         assert (evaluate_exact(substitute(p, {var: q}), point)
                 == evaluate_exact(p, point | {var: q_at}))
         # homogenize needs a polynomial without x3: p's terms free of it
-        r = Polynomial({mono: c for mono, c in p.terms.items() if X3 not in dict(mono)})
+        r = Polynomial({mono: c for mono, c in p.terms.items() if not exponents(mono, (X3,))[0]})
         if r:
             assert (evaluate_exact(homogenize(r, X3), point | {X3: 1})
                     == evaluate_exact(r, point))
@@ -286,12 +317,9 @@ def reference_line_coefficients(f, fixed_var, fixed_val, free_var):
     coeffs = [0.0] * (degree + 1)
     for mono, coeff in sorted_terms(f):
         term = float(coeff)
-        free_exp = 0
-        for var, exp in mono:
-            if var == fixed_var:
-                term *= fixed_val ** exp
-            elif var == free_var:
-                free_exp = exp
+        fixed_exp, free_exp = exponents(mono, (fixed_var, free_var))
+        if fixed_exp:
+            term *= fixed_val ** fixed_exp
         coeffs[free_exp] += term
     return coeffs
 
@@ -301,8 +329,9 @@ def reference_max_abs_term(p, point):
     worst = 0.0
     for mono, coeff in p.terms.items():
         term = abs(float(coeff))
-        for var, exp in mono:
-            term *= abs(point[var]) ** exp
+        for var, exp in enumerate(exponents(mono)):
+            if exp:
+                term *= abs(point[var]) ** exp
         worst = max(worst, term)
     return worst
 
@@ -312,12 +341,11 @@ def dense_polynomials(draw, axes):
     """Every monomial of degree <= d in the pair, Fraction coefficients
     (some zero)."""
     degree = draw(st.integers(min_value=1, max_value=6))
-    ax, ay = axes
     terms = {}
     for total in range(degree + 1):
         for a in range(total + 1):
-            mono = tuple((v, e) for v, e in ((ax, a), (ay, total - a)) if e)
-            terms[mono] = Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 12)))
+            terms[monomial(axes, (a, total - a))] = Fraction(draw(st.integers(-50, 50)),
+                                                             draw(st.integers(1, 12)))
     p = Polynomial(terms)
     assume(p)
     return p
@@ -328,8 +356,7 @@ def dense_cubic_duals(draw):
     terms = {}
     for total in range(4):
         for a in range(total + 1):
-            mono = tuple((v, e) for v, e in ((X1, a), (X2, total - a)) if e)
-            terms[mono] = draw(st.integers(-9, 9).filter(bool))
+            terms[monomial((X1, X2), (a, total - a))] = draw(st.integers(-9, 9).filter(bool))
     try:
         return dual_curve(ImplicitCurve(Polynomial(terms))).g
     except DegenerateCurveError:
