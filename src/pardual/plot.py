@@ -1,25 +1,25 @@
 """Deterministic SVG rendering of curves, duals and tangent-line envelopes.
 
 Implicit curves are traced with marching squares; the grid is evaluated
-column by column through one compiled FloatForm, one list pass per power
-of y, so only two adjacent columns are held at a time.  Each column also
-becomes an integer sign mask (bit j set when value j is negative), and
-bit operations on two adjacent masks select the cells whose corners
-differ in sign: only those few are marched.  A crossed cell joins its
-edge crossings in the fixed order bottom, left, right, top; only a
-saddle, with all four edges crossed, samples its center to pick the
-pairs.  Scenes are ordered layers of segments with style tokens and x
-offsets; two_panel_scene places source and dual side by side, and
+column by column through one compiled FloatForm, up to three powers of y
+per list pass, so only two adjacent columns are held at a time.  Each
+column also becomes an integer sign mask (bit j set when value j is
+negative), and bit operations on two adjacent masks select the cells
+whose corners differ in sign: only those few are marched.  A crossed
+cell joins its edge crossings in the fixed order bottom, left, right,
+top; only a saddle, with all four edges crossed, samples its center to
+pick the pairs.  Scenes are ordered layers of segments with style tokens
+and x offsets; two_panel_scene places source and dual side by side, and
 render_svg draws the source panel's axes first and emits byte-stable SVG
 1.1, y flipped to mathematical orientation and all coordinates printed
-to three decimals; a segment that starts where the previous one ended,
-as printed, continues its subpath.
+to three decimals; segments whose ends print alike are joined into
+chains, one subpath each, so a traced curve is drawn as one M.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .dualize import ImplicitCurve, _require_spacing, point_to_polyline, sample_curve
 from .polyring import DEFAULT_SPACING, X, X1, X2, Y, FloatForm, Polynomial, variables
@@ -102,14 +102,19 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     p is compiled once; the y**b powers are taken once per grid row, and
     each grid column x = xv takes p's coefficients in y, form.line(ax, xv),
     which sums the terms that share a y exponent.  A column's values start
-    at 0.0 and take one list pass c_b * y**b per nonzero coefficient c_b,
-    b ascending, so a column costs one pass per y power and not one per
-    term.  Grouping rounds differently from evaluating p
-    term by term at each node; the tests bound each value's distance from
-    the exact value of p at the float node in units of form.max_abs_term.
-    The cells are marched between two adjacent columns, so the full grid of
-    values is never held.  A column with a value that is not finite, hence
-    a sum that is not, raises OverflowError.
+    at c_0, or at 0.0 when c_0 is zero, and add c_b * y**b for each
+    nonzero c_b, b ascending, up to three powers per list pass: the first
+    pass adds one, two or three of them to the scalar c_0, as many as leave
+    a multiple of three, and every later pass three, v + a*p + b*q + c*r.
+    Python adds left to right, so each node value rounds exactly as one
+    pass per power from 0.0 would (0.0 + c_0 is c_0, and so is c_0 * 1.0);
+    a column costs about one pass per three y powers, not one per term.
+    Grouping by y power rounds differently from evaluating p term by term
+    at each node; the tests bound each value's distance from the exact
+    value of p at the float node in units of form.max_abs_term.  The cells
+    are marched between two adjacent columns, so the full grid of values is
+    never held.  A column with a value that is not finite, hence a sum that
+    is not, raises OverflowError.
 
     Each column is also reduced to a sign mask, an int whose bit j is set
     when value j < 0.  A cell is crossed when its four corners do not all
@@ -132,14 +137,29 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     form = FloatForm(p, ax, ay)
     xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]
     ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
-    y_powers = [[yv ** b for yv in ys] for b in range(form.degree + 1)]
+    y_powers = [[yv ** b for yv in ys] for b in range(1, form.degree + 1)]
     cells = (1 << grid) - 1  # bit grid of a mask is the top node, not a cell
 
     def column(xv: float) -> tuple[list[float], int]:
-        values = [0.0] * len(ys)
-        for coeff, powers in zip(form.line(ax, xv), y_powers):
-            if coeff:
-                values = [v + coeff * power for v, power in zip(values, powers)]
+        c0, *coeffs = form.line(ax, xv)
+        c0 = c0 or 0.0  # as 0.0 + c0 would: a column never starts at -0.0
+        terms = [(c, powers) for c, powers in zip(coeffs, y_powers) if c]
+        head = len(terms) % 3 or 3  # the first pass takes the rest, every later one three
+        if not terms:
+            values = [c0] * len(ys)
+        elif head == 1:
+            [(a, ya)] = terms[:1]
+            values = [c0 + a * pa for pa in ya]
+        elif head == 2:
+            (a, ya), (b, yb) = terms[:2]
+            values = [c0 + a * pa + b * pb for pa, pb in zip(ya, yb)]
+        else:
+            (a, ya), (b, yb), (c, yc) = terms[:3]
+            values = [c0 + a * pa + b * pb + c * pc for pa, pb, pc in zip(ya, yb, yc)]
+        for k in range(head, len(terms), 3):
+            (a, ya), (b, yb), (c, yc) = terms[k:k + 3]
+            values = [v + a * pa + b * pb + c * pc
+                      for v, pa, pb, pc in zip(values, ya, yb, yc)]
         if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise OverflowError(f"grid column at x = {xv!r} is not finite")
         return values, int("".join(["1" if v < 0 else "0" for v in reversed(values)]), 2)
@@ -274,15 +294,57 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
+def _chains(ends: list[bytes]) -> Iterator[list[int]]:
+    """Split segments into chains, given each segment's two printed ends
+    (ends[2k] and ends[2k + 1] for segment k).  A chain passes through
+    every point where exactly two segment ends meet and stops at any other
+    point, so it is a maximal run of segments, open or closed; a point
+    where three or more ends meet stops every chain through it.  Each
+    chain is the list of its end indices in drawing order: entering a
+    segment at end e leaves it at e ^ 1.  Chains come out in the order of
+    their first segment, and each draws that segment from its start to
+    its end: an open chain starts at whichever of its two ends allows
+    that, a closed one at that segment's start."""
+    first: dict[bytes, int] = {}  # the first end at each point; -1 once three meet
+    link = [-1] * len(ends)  # the other end at a point where exactly two meet
+    for e, text in enumerate(ends):
+        f = first.setdefault(text, e)
+        if f == e or f < 0:
+            continue
+        g = link[f]
+        if g < 0:
+            link[e], link[f] = f, e
+        else:
+            link[f] = link[g] = -1
+            first[text] = -1
+    used = bytearray(len(ends) // 2)
+    for k in range(len(used)):
+        if used[k]:
+            continue
+        start = 2 * k
+        while link[start] >= 0 and link[start] >> 1 != k:  # back to the chain's end
+            start = link[start] ^ 1
+        if link[start] >= 0:  # back at segment k: the chain is closed
+            start = 2 * k
+        chain = []
+        e = start
+        while e >= 0 and not used[e >> 1]:
+            used[e >> 1] = True
+            chain.append(e)
+            e = link[e ^ 1]
+        yield chain
+
+
 def render_svg(scene: PlaneScene) -> str:
     """Standalone SVG 1.1 text; identical scenes produce identical bytes.
 
-    Each layer is one path.  A segment whose start prints the same as the
-    previous segment's end continues the subpath with "L x y" alone; any
-    other segment, however small the gap, starts a new one with "M x y".
-    The drawn geometry is that of one "M a L b" per segment.  The document
-    is written into one byte buffer and decoded once, so no string per
-    segment is held.
+    Each layer is one path, and each chain of its segments (see _chains),
+    joined where their ends print alike, is one subpath "M a L b L c ...":
+    an open traced curve is one M however its segments are ordered.
+    Points that print differently, however close, never join.  Decoding
+    the path gives back every segment of the layer as printed, some drawn
+    end to start.  The document is written into one byte buffer and
+    decoded once.
     """
     vp = scene.viewport
     sx = vp.width_px / (vp.xmax - vp.xmin)
@@ -308,16 +370,14 @@ def render_svg(scene: PlaneScene) -> str:
     if vp.ymin <= 0 <= vp.ymax:
         axes.append(((vp.xmin, 0.0), (vp.xmax, 0.0)))
     for layer in ([_Layer(axes, "axis")] if axes else []) + scene.layers:
+        ends = [to_px(point, layer.dx) for segment in layer.data for point in segment]
         out += f'<path class="{layer.style}" d="'.encode()
-        end = None
-        for a, b in layer.data:
-            start = to_px(a, layer.dx)
-            if start != end:
-                out += b"M " if end is None else b" M "
-                out += start
-            end = to_px(b, layer.dx)
-            out += b" L "
-            out += end
+        for n, chain in enumerate(_chains(ends)):
+            out += b" M " if n else b"M "
+            out += ends[chain[0]]
+            for e in chain:
+                out += b" L "
+                out += ends[e ^ 1]
         out += b'"/>\n'
     out += b"</svg>\n"
     return out.decode("ascii")

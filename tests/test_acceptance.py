@@ -280,6 +280,8 @@ def test_criterion_09_line_point_duality():
 
 
 def test_criterion_10_rendering():
+    # The goldens move only on purpose, with the proof that each moved
+    # file decodes to the previous segments (see test_cli.TestPinnedOutput).
     with criterion(10, "byte-identical plot goldens; grid-256 vertices |f| < 0.01"):
         circle = parse("x1^2 + x2^2 - 1")
         dual = dual_curve(ImplicitCurve(circle))

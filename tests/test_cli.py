@@ -243,28 +243,46 @@ class TestPlotCommands:
 
 
 class TestPinnedOutput:
-    """sha256 of stdout.  The plot digests were regenerated once, on
-    purpose, together with tests/goldens/*.svg: trace_implicit began to sum
-    a column's terms by y power (one list pass per power instead of one per
-    term, which rounds differently from evaluate_float), render_svg began
-    to continue a subpath with L where a segment starts at the previous
-    end as printed, and the dual panel's axis took the source panel's rule
-    (drawn top to bottom, no second y = 0).  Each moved output decoded to
-    the previous segments in every layer but the axes, and no grid node of
-    these curves changed sign.  Otherwise no digest may move: if one does,
-    find the cause, do not re-pin it."""
+    """sha256 of stdout.  The plot digests were regenerated on purpose,
+    together with tests/goldens/*.svg, twice.  First, trace_implicit began
+    to sum a column's terms by y power (one list pass per power instead of
+    one per term, which rounds differently from evaluate_float), render_svg
+    began to continue a subpath with L where a segment starts at the
+    previous end as printed, and the dual panel's axis took the source
+    panel's rule (drawn top to bottom, no second y = 0); each moved output
+    decoded to the previous segments in every layer but the axes, and no
+    grid node of these curves changed sign.  Then render_svg began to join
+    the segments whose ends print alike into chains, one subpath each
+    (trace_implicit's up-to-three powers per pass left every node value
+    bit-identical); each moved output decoded, layer by layer, axes
+    included, to the previous segments as an undirected multiset, and the
+    plot-envelope digest did not move.  Otherwise no digest may move: if
+    one does, find the cause, do not re-pin it."""
 
     SEC32 = "x1^3 - x1^2 - x2^2 + x2 - 1"
 
     @pytest.mark.parametrize("text, digest", [
-        ("x1^2 + x2^2 - 1", "220caa0e2cd7e35522444daacabafdadbdd51c75a8ab37d6bba12582327ba820"),
-        ("x1^2*x2 - 1", "d5c9e6a55458f8411b87e505b16f3d35a597f2c5e81651ac1b90f98fbc39d083"),
-        (SEC32, "f799716fc40e3ffad93afc690c463ff29d867423b3ffd76b7bf7c2bf9012c59f"),
+        ("x1^2 + x2^2 - 1", "e267328835a00134e71be091d5c060f3b07af587db1471c0b35e917f23c5bad3"),
+        ("x1^2*x2 - 1", "dc39b67fb7f73013e5493061df7e8fe86050d819ed6ec72dfc6fcb8157086286"),
+        (SEC32, "ff374381ee145e50615cba3b8120d2d8086bd070b76df871f7b788afd250b37d"),
     ])
     def test_plot_default_grid(self, capsys, text, digest):
         code, out, _ = run(capsys, "plot", text)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_plot_output_size(self, capsys):
+        # The benchmark's plot-grid workload (bench/) keeps every pass's SVG,
+        # so its peak_rss_mb grows with the bytes a plot writes times the
+        # passes a faster plot makes.  Chaining segments into one subpath
+        # per curve cut these three plots from 65,343 bytes to 51,396; they
+        # must stay within 80% of the former.
+        total = 0
+        for text in ("x1^2 + x2^2 - 1", "x1^2*x2 - 1", self.SEC32):
+            code, out, _ = run(capsys, "plot", text)
+            assert code == 0
+            total += len(out.encode())
+        assert total <= 52_275
 
     def test_plot_envelope_circle(self, capsys):
         code, out, _ = run(capsys, "plot-envelope", "x1^2 + x2^2 - 1")

@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,7 +176,39 @@ REFERENCE_CASES = [
 ]
 
 
+# Curves whose columns have 1, 2, 3, 4 and 7 nonzero y powers besides
+# y**0: trace_implicit applies them in list passes of up to three.
+FUSED_CASES = [
+    ("x2 - x1^2", (X1, X2), 1),
+    ("x2^2 - x1", (X1, X2), 1),
+    ("x2^3 + x1*x2 - 1", (X1, X2), 2),
+    ("x2^3 - x1*x2^2 + x2 - x1^2 - 1", (X1, X2), 3),
+    (SEC32_DUAL, (X, Y), 4),
+    ("x2^7 - x1*x2^6 + x2^5 - 2*x2^4 + x1*x2^3 - x2^2 + 3*x2 - x1^2 + 1", (X1, X2), 7),
+]
+
+
 class TestTraceImplicit:
+    @pytest.mark.parametrize("with_y0", [True, False])
+    @pytest.mark.parametrize("text, axes, powers", FUSED_CASES)
+    def test_fused_passes_match_reference(self, text, axes, powers, with_y0):
+        # A column starts at its y**0 coefficient and takes the other
+        # nonzero powers up to three per list pass, v + a*p + b*q + c*r.
+        # Python adds left to right, so every node value, and with it every
+        # segment, is bit for bit that of grouped_column's one pass per
+        # power from 0.0.  Without a y**0 term the column starts at 0.0.
+        ax, ay = axes
+        p = parse(text)
+        if not with_y0:
+            p = Polynomial({mono: coeff for mono, coeff in sorted_terms(p)
+                            if exponents(mono, (ay,)) != (0,)})
+        vp = Viewport(-2.9, 3.1, -3.1, 2.9)
+        form = FloatForm(p, ax, ay)
+        lines = [form.line(ax, xv) for xv in grid_nodes(vp.xmin, vp.xmax, 64)]
+        assert max(sum(map(bool, line[1:])) for line in lines) == powers
+        assert any(line[0] for line in lines) == with_y0
+        assert trace_implicit(p, vp, 64) == reference_trace(p, ax, ay, vp, 64)
+
     @pytest.mark.parametrize("text, axes, vp", REFERENCE_CASES)
     def test_matches_point_by_point_reference(self, text, axes, vp):
         # Exact float equality: the streamed columns evaluate bit-identically
@@ -418,14 +451,77 @@ def rendered_paths(scene):
             for el in ET.fromstring(render_svg(scene)).iter(f"{ns}path")]
 
 
+def undirected(segments):
+    """segments as a multiset in which (a, b) and (b, a) are one segment."""
+    return Counter(tuple(sorted(segment)) for segment in segments)
+
+
+def point_graph(segments):
+    """(degree, components) of the multigraph whose vertices are the printed
+    points and whose edges are segments: degree counts segment ends at a
+    point (a zero-length segment adds two), components lists each connected
+    component's points."""
+    degree = Counter(point for segment in segments for point in segment)
+    parent = {point: point for point in degree}
+
+    def root(point):
+        while parent[point] != point:
+            parent[point] = parent[parent[point]]
+            point = parent[point]
+        return point
+
+    for a, b in segments:
+        parent[root(a)] = root(b)
+    components = {}
+    for point in degree:
+        components.setdefault(root(point), []).append(point)
+    return degree, list(components.values())
+
+
+def chain_count(segments):
+    """Subpaths render_svg draws for segments printed so: every chain ends
+    twice at a point where other than two segment ends meet, and a
+    component with no such point is one closed chain."""
+    degree, components = point_graph(segments)
+    ends = sum(d for d in degree.values() if d != 2)
+    return ends // 2 + sum(all(degree[point] == 2 for point in component)
+                           for component in components)
+
+
+# Lattice coordinates for segment soups: the signed zeros print apart where
+# a window edge is 0.0, and 1.0 + 1e-9 is another float that prints as 1.0.
+SOUP_COORDS = [-0.0, 0.0, 0.5, 1.0, 1.0 + 1e-9, 1.5]
+SOUP_VIEWPORTS = [Viewport(0.0, 1.5, 0.0, 1.5, 150, 150),
+                  Viewport(-1.0, 2.0, -1.5, -0.0, 300, 150)]
+
+
+@st.composite
+def segment_soups(draw):
+    """(viewport, segments, dx): segments on a small lattice, so points of
+    degree 3 and 4 are common, with zero-length segments, a closed loop,
+    duplicated segments and a shuffled order."""
+    points = st.tuples(st.sampled_from(SOUP_COORDS), st.sampled_from(SOUP_COORDS))
+    segments = draw(st.lists(st.tuples(points, points), max_size=12))
+    loop = draw(st.lists(points, max_size=5))
+    if len(loop) >= 2:
+        segments += list(zip(loop, loop[1:] + loop[:1]))
+    if segments:
+        segments += draw(st.lists(st.sampled_from(segments), max_size=3))
+    segments = draw(st.permutations(segments))
+    return (draw(st.sampled_from(SOUP_VIEWPORTS)), segments,
+            draw(st.sampled_from([0.0, 0.25, -1.0])))
+
+
 class TestRenderSvg:
     @pytest.mark.parametrize("text", ["x1^2 + x2^2 - 1", "x1^2*x2 - 1",
                                       "x1^3 - x1^2 - x2^2 + x2 - 1"])
     def test_subpaths_round_trip(self, text):
-        # Decoding each path gives back its layer's segments as formatted:
-        # continuing a subpath with L drops no segment and invents none.
-        # The plot scene at grid 64 has the automatic axes, the two panels
-        # and the dual panel's axis layer.
+        # Decoding each path gives back its layer's segments as printed, as
+        # an undirected multiset: chaining drops no segment and invents
+        # none, though it may draw one end to start.  The plot scene at
+        # grid 64 has the automatic axes, the two panels and the dual
+        # panel's axis layer; every layer, the traced curves included, is
+        # one subpath per connected component.
         f = parse(text)
         panel = Viewport(-3.0, 3.0, -3.0, 3.0)
         scene = two_panel_scene(panel, trace_implicit(f, panel, 64),
@@ -436,8 +532,26 @@ class TestRenderSvg:
         assert [style for style, _ in paths] == ["axis", "thin", "thick", "axis"]
         expected = [formatted_segments(scene, automatic)]
         expected += [formatted_segments(scene, layer.data, layer.dx) for layer in scene.layers]
-        assert [decode_path(d) for _, d in paths] == expected
+        for (_, d), printed in zip(paths, expected):
+            assert undirected(decode_path(d)) == undirected(printed)
+            assert d.count("M") == len(point_graph(printed)[1])
         assert sum(d.count("M") for _, d in paths) < sum(map(len, expected))
+
+    @settings(max_examples=60)
+    @given(segment_soups())
+    def test_chained_soup_round_trip(self, soup):
+        # Any segments: the path decodes to them as printed (undirected
+        # multiset), the bytes do not vary, and the subpaths are the chains
+        # between points where other than two segment ends meet.
+        vp, segments, dx = soup
+        scene = PlaneScene(vp)
+        scene.add_segments(segments, style="thin", dx=dx)
+        svg = render_svg(scene)
+        [d] = [d for style, d in rendered_paths(scene) if style == "thin"]
+        printed = formatted_segments(scene, segments, dx)
+        assert undirected(decode_path(d)) == undirected(printed)
+        assert d.count("M") == chain_count(printed)
+        assert render_svg(scene) == svg
 
     def test_gap_starts_new_subpath(self):
         # One unit is one pixel: an end and a start 0.001 px apart print
