@@ -4,21 +4,24 @@ Implicit curves are traced with marching squares; the grid is evaluated
 column by column through one compiled FloatForm, up to three powers of y
 per list pass, so only two adjacent columns are held at a time.  Each
 column also becomes an integer sign mask (bit j set when value j is
-negative), and bit operations on two adjacent masks select the cells
-whose corners differ in sign: only those few are marched.  A crossed
-cell joins its edge crossings in the fixed order bottom, left, right,
-top; only a saddle, with all four edges crossed, samples its center to
-pick the pairs.  Scenes are ordered layers of segments with style tokens
-and x offsets; two_panel_scene places source and dual side by side, and
-render_svg draws the source panel's axes first and emits byte-stable SVG
-1.1, y flipped to mathematical orientation and all coordinates printed
-to three decimals; segments whose ends print alike are joined into
-chains, one subpath each, so a traced curve is drawn as one M.
+negative), read from the sign bits of the column packed as IEEE doubles
+with no Python step per value, and bit operations on two adjacent masks
+select the cells whose corners differ in sign: only those few are
+marched.  A crossed cell joins its edge crossings in the fixed order
+bottom, left, right, top; only a saddle, with all four edges crossed,
+samples its center to pick the pairs.  Scenes are ordered layers of
+segments with style tokens and x offsets; two_panel_scene places source
+and dual side by side, and render_svg draws the source panel's axes
+first and emits byte-stable SVG 1.1, y flipped to mathematical
+orientation and all coordinates printed to three decimals; segments
+whose ends print alike are joined into chains, one subpath each, so a
+traced curve is drawn as one M.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from typing import Iterator, NamedTuple
 
 from .dualize import ImplicitCurve, _require_spacing, point_to_polyline, sample_curve
@@ -28,6 +31,9 @@ Point = tuple[float, float]
 Segment = tuple[Point, Point]
 
 PANEL_GAP_FRACTION = 0.08
+
+# Maps the first byte of a big-endian double to "1" when its sign bit is set.
+_SIGN_DIGITS = b"0" * 128 + b"1" * 128
 
 
 class _ViewportFields(NamedTuple):
@@ -117,11 +123,23 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     is not, raises OverflowError.
 
     Each column is also reduced to a sign mask, an int whose bit j is set
-    when value j < 0.  A cell is crossed when its four corners do not all
-    share one sign; for adjacent column masks L and R that is bit j of
-    (L ^ R) | (L ^ L >> 1) | (R ^ R >> 1), cut to the grid's cells.  Only
-    those cells are marched, lowest bit first, so the segments come out
-    in the order of a full scan of every cell.
+    when value j < 0.  The mask is read in C builtins, with no Python step
+    per value: the column is packed once as big-endian IEEE doubles, the
+    first byte of each (its sign bit is bit 7) is taken in reverse node
+    order, each becomes the digit "1" or "0" through a 256-byte translate
+    table, and int(..., 2) parses the digits.  The sign bit disagrees with
+    v < 0 only on NaN and on -0.0.  NaN never reaches the mask: a column
+    that is not finite raises first.  -0.0 never occurs: a column starts
+    at c0 or 0.0, never at -0.0; every node value is a left-to-right sum
+    from that start; and a round-to-nearest IEEE sum is -0.0 only when
+    both addends are -0.0, so no partial sum is, whatever the sign of the
+    products added to it (-3.0 * 0.0 is -0.0, 0.0 + -0.0 is 0.0).
+
+    A cell is crossed when its four corners do not all share one sign;
+    for adjacent column masks L and R that is bit j of (L ^ R) |
+    (L ^ L >> 1) | (R ^ R >> 1), cut to the grid's cells.  Only those
+    cells are marched, lowest bit first, so the segments come out in the
+    order of a full scan of every cell.
 
     A crossed cell collects the crossing points of its edges whose two
     corners differ in sign, in the order bottom, left, right, top.  Two
@@ -139,6 +157,7 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
     y_powers = [[yv ** b for yv in ys] for b in range(1, form.degree + 1)]
     cells = (1 << grid) - 1  # bit grid of a mask is the top node, not a cell
+    pack = struct.Struct(f">{grid + 1}d").pack
 
     def column(xv: float) -> tuple[list[float], int]:
         c0, *coeffs = form.line(ax, xv)
@@ -162,7 +181,7 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
                       for v, pa, pb, pc in zip(values, ya, yb, yc)]
         if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise OverflowError(f"grid column at x = {xv!r} is not finite")
-        return values, int("".join(["1" if v < 0 else "0" for v in reversed(values)]), 2)
+        return values, int(pack(*values)[-8::-8].translate(_SIGN_DIGITS), 2)
 
     def interp(x0, y0, v0, x1, y1, v1) -> Point:
         t = v0 / (v0 - v1)

@@ -9,6 +9,7 @@ from helpers import evaluate_float, nonzero_polynomials, polynomials
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pardual.cli import MAX_GRID
 from pardual.dualize import ImplicitCurve, dual_curve, line_dual_point, sample_curve
 from pardual.plot import (
     PlaneScene,
@@ -343,6 +344,36 @@ class TestTraceImplicit:
         segments = trace_implicit(CIRCLE, vp, 16)
         assert segments == reference_trace(CIRCLE, X1, X2, vp, 16)
         assert segments
+
+    @pytest.mark.parametrize("text", ["-x1*x2", "-x1*x2^2 - x2", "x2*(1/2 - x1)",
+                                      "-x1^2*x2 - x1*x2^2 + x1"])
+    @pytest.mark.parametrize("vp", [Viewport(-1.0, 1.0, -1.0, 1.0),
+                                    Viewport(-0.5, 1.5, -0.5, 1.5),
+                                    Viewport(0.0, 2.0, -1.0, 1.0)])
+    def test_signed_zero_nodes(self, text, vp):
+        # Node rows and columns at exactly 0.0 and 1/2 make negative
+        # coefficients times 0.0, which are -0.0.  The mask reads IEEE sign
+        # bits, so a node value of -0.0 would count as negative where the
+        # reference's v < 0 does not; no node value is ever -0.0.
+        grid = 16
+        xs, ys = grid_nodes(vp.xmin, vp.xmax, grid), grid_nodes(vp.ymin, vp.ymax, grid)
+        assert {0.0, 0.5} <= set(xs) and {0.0, 0.5} <= set(ys)
+        p = parse(text)
+        segments = trace_implicit(p, vp, grid)
+        assert segments
+        assert segments == reference_trace(p, X1, X2, vp, grid)
+
+    @pytest.mark.parametrize("text, axis", [("x1 - 1/3", 0), ("x2 - 1/3", 1), ("1/3 - x2", 1)])
+    def test_widest_mask(self, text, axis):
+        # At MAX_GRID a column packs 2049 doubles.  The horizontal lines
+        # flip sign once in every column, below the line for x2 - 1/3 and
+        # above it, up to the top node's bit 2048, for 1/3 - x2; the
+        # vertical line crosses the one column of cells around x1 = 1/3.
+        segments = trace_implicit(parse(text), VIEW2, MAX_GRID)
+        assert len(segments) == MAX_GRID
+        for segment in segments:
+            for point in segment:
+                assert abs(point[axis] - 1 / 3) < 1e-12
 
 
 class TestClip:
