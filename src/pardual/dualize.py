@@ -1,13 +1,14 @@
 """Point-curve duals of planar algebraic curves in parallel coordinates.
 
 The centerpiece is dual_curve, the elimination pipeline: lift the curve
-to a homogeneous cone, rescale onto gradient directions and land them in
-image coordinates via eta -> 1-x, xi -> x, psi -> -y, take the resultant
-of the two partial derivatives (by evaluation and interpolation, see
-elimination), strip the y-power multiplier, and normalize.  A numeric
-sampling oracle (sample_curve + verify_duality) cross-checks the symbolic
-output against the fundamental point-image map, and a closed form covers
-the conic special case.
+to a homogeneous cone over the gradient directions (eta, xi, psi), landed
+in image coordinates via eta -> 1-x, xi -> x, psi -> -y and expanded once
+into its coefficients in (x1, x2); read both partial derivatives off those
+coefficients by Euler's rule; take their resultant (by evaluation and
+interpolation, see elimination); strip the y-power multiplier; normalize.
+A numeric sampling oracle (sample_curve + verify_duality) cross-checks
+the symbolic output against the fundamental point-image map, and a
+closed form covers the conic special case.
 """
 
 from __future__ import annotations
@@ -16,24 +17,21 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .elimination import as_binary_form, resultant
+from .elimination import BinaryForm, resultant
 from .polyring import (
     DEFAULT_SPACING,
     VAR_NAMES,
     X,
     X1,
     X2,
-    X3,
     Y,
     FloatForm,
     Monomial,
     Polynomial,
     content_and_primitive,
     exponents,
-    homogenize,
     monomial,
     partial_derivative,
-    substitute,
     total_degree,
     variables,
 )
@@ -141,34 +139,28 @@ class VerifyReport(NamedTuple):
 def dual_curve(curve: ImplicitCurve) -> DualCurve:
     """Run the transform and return the canonical dual polynomial.
 
-    Steps: homogenize with x3; substitute x1 -> psi*x1, x2 -> psi*x2,
-    x3 -> -(eta*x1 + xi*x2) together with the image map eta -> 1-x,
-    xi -> x, psi -> -y; take the resultant of the two partial derivatives
-    as binary forms in (x1, x2); strip the y^k multiplier (psi^k before
-    the image map) and normalize to the primitive positive-leading
-    representative.
+    Steps: expand the cone L(x1, x2) = F(psi*x1, psi*x2, -(eta*x1 + xi*x2)),
+    F being f homogenized with x3, once into its coefficients in (x1, x2)
+    under the image map eta -> 1-x, xi -> x, psi -> -y, and read both
+    partial derivatives off them by Euler's rule (_partial_forms); take
+    their resultant as binary forms in (x1, x2); strip the y^k multiplier
+    (psi^k before the image map) and normalize to the primitive
+    positive-leading representative.
 
     Applying the image map first is sound: substitution is a ring
-    homomorphism, so it commutes with the partial derivatives in (x1, x2)
-    and with the determinant.  The partials and the resultant are
-    homogeneous in (eta, xi, psi), and such a polynomial vanishes on the
-    plane eta + xi = 1 only when it is zero, so the vanishing checks and
-    the stripped power k are those of the resultant in (eta, xi, psi).
+    homomorphism, so it commutes with the expansion, with the partial
+    derivatives in (x1, x2) and with the determinant.  The partials and
+    the resultant are homogeneous in (eta, xi, psi), and such a polynomial
+    vanishes on the plane eta + xi = 1 only when it is zero, so the
+    vanishing checks and the stripped power k are those of the resultant
+    in (eta, xi, psi).
     """
     if curve.n < 2:
         raise DegreeError("dual_curve needs degree >= 2 (lines dualize to points)")
     if curve.n > MAX_SOURCE_DEGREE:
         raise DegreeError(f"dual_curve supports degree <= {MAX_SOURCE_DEGREE} (got {curve.n})")
-    x1 = Polynomial.variable(X1)
-    x2 = Polynomial.variable(X2)
-    eta, xi, psi = 1 - Polynomial.variable(X), Polynomial.variable(X), -Polynomial.variable(Y)
-    cone = homogenize(curve.f, X3)
-    lifted = substitute(cone, {X1: psi * x1, X2: psi * x2, X3: -(eta * x1 + xi * x2)})
-    d1 = partial_derivative(lifted, X1)
-    d2 = partial_derivative(lifted, X2)
-    if not d1 or not d2:
-        raise DegenerateCurveError("a partial derivative vanished identically")
-    r = resultant(as_binary_form(d1), as_binary_form(d2))
+    x = Polynomial.variable(X)
+    r = resultant(*_partial_forms(curve.f, 1 - x, x, -Polynomial.variable(Y)))
     if not r:
         raise DegenerateCurveError(
             "degenerate input: resultant vanished identically "
@@ -182,6 +174,37 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
         raise DegenerateCurveError(
             "the dual collapsed to a constant (reducible or degenerate input)")
     return DualCurve(g=g, source_degree=curve.n, psi_power_removed=k)
+
+
+def _partial_forms(f: Polynomial, eta: Polynomial, xi: Polynomial,
+                   psi: Polynomial) -> tuple[BinaryForm, BinaryForm]:
+    """dL/dx1 and dL/dx2 as binary forms, for the cone L(x1, x2) =
+    F(psi*x1, psi*x2, -(eta*x1 + xi*x2)) of f of degree n, F being f
+    homogenized with x3.
+
+    L is expanded once into its coefficients L_i of x1^i * x2^(n-i): a term
+    c * x1^a * x2^b of f, with k = n - a - b, adds
+    c * psi^(a+b) * C(k, l) * (-eta)^l * (-xi)^(k-l) to L_(a+l), for
+    l = 0..k.  By Euler's rule dL/dx1 has the coefficients (i+1) * L_(i+1)
+    and dL/dx2 has (n-i) * L_i, for i = 0..n-1.
+    """
+    n = total_degree(f)
+    neg_eta_powers, neg_xi_powers, psi_powers = (
+        [p ** e for e in range(n + 1)] for p in (-eta, -xi, psi))
+    # the coefficients of (-(eta*x1 + xi*x2))^k, ascending in x1
+    lines = [[math.comb(k, l) * neg_eta_powers[l] * neg_xi_powers[k - l] for l in range(k + 1)]
+             for k in range(n + 1)]
+    cone = [Polynomial()] * (n + 1)
+    for mono, coeff in f.terms.items():
+        a, b = exponents(mono, (X1, X2))
+        scale = coeff * psi_powers[a + b]
+        for l, line in enumerate(lines[n - a - b]):
+            cone[a + l] = cone[a + l] + scale * line
+    d1 = tuple((i + 1) * cone[i + 1] for i in range(n))
+    d2 = tuple((n - i) * cone[i] for i in range(n))
+    if not any(d1) or not any(d2):
+        raise DegenerateCurveError("a partial derivative vanished identically")
+    return BinaryForm(n - 1, d1), BinaryForm(n - 1, d2)
 
 
 _IMAGE_MONOMIALS: dict[tuple[int, int], Monomial] = {}

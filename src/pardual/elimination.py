@@ -36,15 +36,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .polyring import (
     ETA,
-    NUM_VARS,
     PSI,
     VAR_NAMES,
     X,
-    X1,
-    X2,
     XI,
     Y,
-    Monomial,
     Polynomial,
     exponents,
     monomial,
@@ -78,26 +74,6 @@ class BinaryForm(_BinaryFormFields):
                 raise ValueError(
                     f"form coefficients may only use eta, xi, psi, x, y (found {names})")
         return super().__new__(cls, degree, coeffs)
-
-
-def as_binary_form(p: Polynomial) -> BinaryForm:
-    """Read p as a binary form in (x1, x2) with coefficients in the other variables."""
-    if not p:
-        raise ValueError("the zero polynomial is not a binary form")
-    degree = None
-    grouped: dict[int, dict[Monomial, Fraction]] = {}
-    # the other variables in registry order; a stray x3 is kept for BinaryForm to refuse
-    others = [var for var in range(NUM_VARS) if var not in (X1, X2)]
-    for mono, coeff in p.terms.items():
-        e1, e2, *rest = exponents(mono, (X1, X2, *others))
-        total = e1 + e2
-        if degree is None:
-            degree = total
-        elif total != degree:
-            raise ValueError("polynomial is not homogeneous in (x1, x2)")
-        grouped.setdefault(e1, {})[monomial(others, rest)] = coeff
-    coeffs = tuple(Polynomial(grouped.get(i, {})) for i in range(degree + 1))
-    return BinaryForm(degree, coeffs)
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:

@@ -226,45 +226,6 @@ def partial_derivative(p: Polynomial, var: VarId) -> Polynomial:
     return Polynomial(result)
 
 
-def homogenize(p: Polynomial, new_var: VarId) -> Polynomial:
-    """Lift p to a homogeneous polynomial of its total degree using new_var."""
-    if not p:
-        raise ValueError("cannot homogenize the zero polynomial")
-    if new_var in variables(p):
-        raise ValueError(f"homogenizing variable {VAR_NAMES[new_var]} already occurs")
-    n = total_degree(p)
-    result: dict[Monomial, Coefficient] = {}
-    for mono, coeff in p.terms.items():
-        missing = n - mono_degree(mono)
-        if missing:
-            mono = tuple(sorted((dict(mono) | {new_var: missing}).items()))
-        result[mono] = coeff
-    return Polynomial(result)
-
-
-def substitute(p: Polynomial, bindings: Mapping[VarId, Polynomial]) -> Polynomial:
-    """Simultaneous substitution of polynomials for variables, fully expanded."""
-    if not bindings:
-        return p
-    powers: dict[tuple[VarId, int], Polynomial] = {}
-
-    def power(var: VarId, exp: int) -> Polynomial:
-        key = (var, exp)
-        if key not in powers:
-            powers[key] = bindings[var] ** exp
-        return powers[key]
-
-    result = Polynomial()
-    for mono, coeff in p.terms.items():
-        kept = tuple(pair for pair in mono if pair[0] not in bindings)
-        term = Polynomial({kept: coeff})
-        for var, exp in mono:
-            if var in bindings:
-                term = term * power(var, exp)
-        result = result + term
-    return result
-
-
 def content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
     """Split p = content * primitive, the primitive part having coprime
     integer coefficients and a positive leading coefficient under the

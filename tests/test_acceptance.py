@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import conic_determinant, evaluate_float
+from helpers import as_binary_form, conic_determinant, evaluate_float, form_polynomial
 from pardual.cli import main as cli_main
 from pardual.dualize import (
     ConicMatrix,
@@ -25,6 +25,7 @@ from pardual.dualize import (
     DualCurve,
     ImplicitCurve,
     RESIDUAL_THRESHOLD,
+    _partial_forms,
     conic_dual_matrix,
     dual_curve,
     line_dual_point,
@@ -32,19 +33,17 @@ from pardual.dualize import (
     sample_curve,
     verify_duality,
 )
-from pardual.elimination import as_binary_form, resultant
+from pardual.elimination import resultant
 from pardual.plot import PlaneScene, Viewport, render_svg, trace_implicit
 from pardual.polyparse import parse
 from pardual.polyring import (
     X,
     X1,
     X2,
-    X3,
     Y,
     Polynomial,
     content_and_primitive,
     evaluate_exact,
-    homogenize,
     monomial,
     partial_derivative,
     total_degree,
@@ -199,18 +198,21 @@ def test_criterion_06_degree_bound():
 
 def test_criterion_07_euler_identity():
     with criterion(7, "Euler identity holds exactly for 200 random lifts"):
+        # the partial forms dual_curve reads off the cone's coefficients
+        # must be the partials of L = (x1*F1 + x2*F2)/n
         rng = random.Random(7)
+        x = Polynomial.variable(X)
+        x1, x2 = Polynomial.variable(X1), Polynomial.variable(X2)
         done = 0
         while done < 200:
             curve = _random_dense_curve(rng, rng.randint(1, 4))
             if curve is None:
                 continue
-            lifted = homogenize(curve.f, X3)
-            n = total_degree(lifted)
-            total = Polynomial()
-            for v in (X1, X2, X3):
-                total = total + Polynomial.variable(v) * partial_derivative(lifted, v)
-            assert total == n * lifted
+            f1, f2 = map(form_polynomial,
+                         _partial_forms(curve.f, 1 - x, x, -Polynomial.variable(Y)))
+            lifted = Fraction(1, curve.n) * (x1 * f1 + x2 * f2)
+            assert partial_derivative(lifted, X1) == f1
+            assert partial_derivative(lifted, X2) == f2
             done += 1
 
 

@@ -4,8 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import conic_determinant, evaluate_float
+from helpers import (
+    as_binary_form,
+    conic_determinant,
+    evaluate_float,
+    homogenize,
+    monomials,
+    substitute,
+)
 from pardual.dualize import (
     ConicMatrix,
     CurveSamples,
@@ -15,6 +24,7 @@ from pardual.dualize import (
     IdealPointError,
     ImplicitCurve,
     NoSamplesError,
+    _partial_forms,
     conic_dual_matrix,
     dual_curve,
     line_dual_point,
@@ -25,13 +35,19 @@ from pardual.dualize import (
 )
 from pardual.polyparse import parse, print_poly
 from pardual.polyring import (
+    ETA,
+    PSI,
     X,
     X1,
     X2,
+    X3,
+    XI,
     Y,
     Polynomial,
     content_and_primitive,
     evaluate_exact,
+    monomial,
+    partial_derivative,
     total_degree,
 )
 
@@ -172,6 +188,64 @@ class TestDualCurve:
     def test_double_line(self):
         with pytest.raises(DegenerateCurveError):
             dual_curve(curve("x2^2"))
+
+
+# (eta, xi, psi) as variables, and under dual_curve's image map
+BINDINGS = {
+    "symbolic": tuple(map(Polynomial.variable, (ETA, XI, PSI))),
+    "image": (1 - Polynomial.variable(X), Polynomial.variable(X), -Polynomial.variable(Y)),
+}
+
+
+def reference_cone(f, eta, xi, psi):
+    """F(psi*x1, psi*x2, -(eta*x1 + xi*x2)) for f homogenized with x3 to F."""
+    x1, x2 = Polynomial.variable(X1), Polynomial.variable(X2)
+    return substitute(homogenize(f, X3), {X1: psi * x1, X2: psi * x2, X3: -(eta * x1 + xi * x2)})
+
+
+@st.composite
+def lift_sources(draw):
+    """Curves of degree 2..5, dense (every monomial) or sparse, with integer
+    or rational coefficients."""
+    degree = draw(st.integers(2, 5))
+    coeffs = draw(st.sampled_from([
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    ]))
+    if draw(st.booleans()):
+        monos = [monomial((X1, X2), (a, t - a)) for t in range(degree + 1) for a in range(t + 1)]
+    else:
+        monos = draw(st.lists(monomials(max_degree=degree), max_size=4))
+    terms = {mono: draw(coeffs) for mono in monos}
+    a = draw(st.integers(0, degree))
+    terms[monomial((X1, X2), (a, degree - a))] = draw(coeffs.filter(bool))
+    return Polynomial(terms)
+
+
+class TestPartialForms:
+    """_partial_forms expands the cone once and reads both partials off its
+    coefficients by Euler's rule; the reference differentiates the cone
+    built term by term."""
+
+    def check(self, f, binding):
+        bindings = BINDINGS[binding]
+        cone = reference_cone(f, *bindings)
+        partials = [partial_derivative(cone, var) for var in (X1, X2)]
+        if all(partials):
+            assert _partial_forms(f, *bindings) == tuple(map(as_binary_form, partials))
+        else:
+            with pytest.raises(DegenerateCurveError, match="vanished identically"):
+                _partial_forms(f, *bindings)
+
+    @given(lift_sources(), st.sampled_from(sorted(BINDINGS)))
+    def test_matches_reference(self, f, binding):
+        self.check(f, binding)
+
+    @pytest.mark.parametrize("binding", sorted(BINDINGS))
+    @pytest.mark.parametrize("source", [FIG9_SOURCE, FIG8_SOURCE, SEC32_SOURCE, CIRCLE_SOURCE,
+                                        "x2^2", "x1^3"])
+    def test_paper_curves(self, source, binding):
+        self.check(parse(source), binding)
 
 
 class TestConicDual:

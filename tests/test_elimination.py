@@ -6,8 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import determinant, polynomials, sylvester_matrix
-from pardual.elimination import BinaryForm, _interpolate, as_binary_form, resultant
+from helpers import (
+    as_binary_form,
+    determinant,
+    form_polynomial,
+    polynomials,
+    substitute,
+    sylvester_matrix,
+)
+from pardual.dualize import DegenerateCurveError, _partial_forms
+from pardual.elimination import BinaryForm, _interpolate, resultant
 from pardual.polyparse import parse
 from pardual.polyring import (
     ETA,
@@ -16,16 +24,12 @@ from pardual.polyring import (
     X,
     X1,
     X2,
-    X3,
     XI,
     Y,
     Polynomial,
-    homogenize,
     monomial,
     partial_derivative,
-    substitute,
     total_degree,
-    variables,
 )
 
 
@@ -42,15 +46,15 @@ def form_product(roots):
     return as_binary_form(poly)
 
 
+SYMBOLIC = tuple(map(Polynomial.variable, (ETA, XI, PSI)))
+
+
 def rescaled_cone(f):
-    cone = homogenize(f, X3) if X3 not in variables(f) else f
-    x1 = Polynomial.variable(X1)
-    x2 = Polynomial.variable(X2)
-    return substitute(cone, {
-        X1: Polynomial.variable(PSI) * x1,
-        X2: Polynomial.variable(PSI) * x2,
-        X3: -(Polynomial.variable(ETA) * x1 + Polynomial.variable(XI) * x2),
-    })
+    """The lift's cone of f in (eta, xi, psi), rebuilt from its two partial
+    forms by Euler's rule: n * L = x1 * dL/dx1 + x2 * dL/dx2."""
+    d1, d2 = map(form_polynomial, _partial_forms(f, *SYMBOLIC))
+    return Fraction(1, total_degree(f)) * (Polynomial.variable(X1) * d1
+                                           + Polynomial.variable(X2) * d2)
 
 
 class TestAsBinaryForm:
@@ -310,10 +314,11 @@ class TestResultant:
         coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=len(monos), max_size=len(monos)))
         f = Polynomial(dict(zip(monos, coeffs)))
         assume(f and total_degree(f) == degree)
-        cone = rescaled_cone(f)
-        d1, d2 = partial_derivative(cone, X1), partial_derivative(cone, X2)
-        assume(d1 and d2)
-        forms = [as_binary_form(d) for d in (d1, d2)]
+        try:
+            cone = rescaled_cone(f)
+        except DegenerateCurveError:  # a partial vanishes identically
+            assume(False)
+        forms = [as_binary_form(partial_derivative(cone, var)) for var in (X1, X2)]
         mapped = [BinaryForm(form.degree, tuple(substitute(c, IMAGE_MAP) for c in form.coeffs))
                   for form in forms]
         assert resultant(*mapped) == substitute(resultant(*forms), IMAGE_MAP)

@@ -1,10 +1,21 @@
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_variable_polynomials, evaluate_float, nonzero_polynomials, polynomials
+from helpers import (
+    all_variable_polynomials,
+    evaluate_float,
+    homogenize,
+    monomial_table,
+    monomials,
+    nonzero_polynomials,
+    polynomials,
+    substitute,
+)
 from pardual.dualize import DegenerateCurveError, ImplicitCurve, dual_curve
 from pardual.polyparse import parse
 from pardual.polyring import (
@@ -23,12 +34,10 @@ from pardual.polyring import (
     content_and_primitive,
     evaluate_exact,
     exponents,
-    homogenize,
     mono_degree,
     monomial,
     partial_derivative,
     sorted_terms,
-    substitute,
     total_degree,
     variables,
 )
@@ -281,6 +290,30 @@ class TestMonomialFormat:
             exps = exponents(term[0])
             return (sum(exps), exps)
         assert sorted_terms(p) == sorted(p.terms.items(), key=key, reverse=True)
+
+
+class TestMonomialStrategy:
+    """helpers.monomials draws a degree and an index into monomial_table."""
+
+    @pytest.mark.parametrize("variables, max_degree", [
+        ((X1, X2), 0), ((X1, X2), 4), ((X, Y), 6), ((X1, X2, X, Y), 3),
+        (tuple(range(NUM_VARS)), 6),
+    ])
+    def test_table_holds_every_exponent_vector(self, variables, max_degree):
+        table = monomial_table(variables, max_degree)
+        vectors = [exponents(mono, variables) for row in table for mono in row]
+        assert all(sum(exps) == degree
+                   for degree, row in enumerate(table) for exps in map(exponents, row))
+        # distinct vectors of sum <= max_degree, as many as there are such vectors
+        assert len(set(vectors)) == len(vectors) == comb(len(variables) + max_degree, max_degree)
+        if len(variables) <= 4:
+            assert set(vectors) == {exps for exps in product(range(max_degree + 1),
+                                                             repeat=len(variables))
+                                    if sum(exps) <= max_degree}
+
+    def test_shrinks_to_one_monomial(self):
+        strategy = monomials(variables=tuple(range(NUM_VARS)), max_degree=6)
+        assert find(strategy, lambda mono: True, settings=settings(database=None)) == ONE_MONOMIAL
 
 
 # eight numerators over one denominator: cheaper to draw than eight fractions
