@@ -15,7 +15,14 @@ from helpers import (
     sylvester_matrix,
 )
 from pardual.dualize import DegenerateCurveError, _partial_forms
-from pardual.elimination import BinaryForm, _interpolate, resultant
+from pardual.elimination import (
+    BinaryForm,
+    _exact_line,
+    _integer_resultant,
+    _interpolate,
+    _line_resultants,
+    resultant,
+)
 from pardual.polyparse import parse
 from pardual.polyring import (
     ETA,
@@ -186,6 +193,51 @@ def integer_rows(f, g):
     return [[int(p.terms.get(ONE_MONOMIAL, 0)) for p in row] for row in sylvester_matrix(f, g)]
 
 
+def convolve(p, q):
+    """Ascending coefficients of the product of two binary forms."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+NODE_KINDS = ("random", "f lead zero", "g lead zero", "both leads zero",
+              "first remainder cancels", "shared root")
+
+
+@st.composite
+def line_node(draw, n, m):
+    """Ascending integer coefficients (f, g) of degrees n and m at one node,
+    random or built to leave the lockstep of the line kernel."""
+    coeff = st.integers(-9, 9)
+    nonzero = coeff.filter(bool)
+    kind = draw(st.sampled_from(NODE_KINDS))
+    if kind == "shared root":
+        # both forms have the factor u*x2 + v*x1, so the resultant is 0
+        root = [draw(coeff), draw(nonzero)]  # [u, v]
+        f = convolve(root, draw(st.lists(coeff, min_size=n - 1, max_size=n - 1)) + [draw(nonzero)])
+        g = convolve(root, draw(st.lists(coeff, min_size=m - 1, max_size=m - 1)) + [draw(nonzero)])
+        return f, g
+    f = draw(st.lists(coeff, min_size=n, max_size=n)) + [draw(nonzero)]
+    g = draw(st.lists(coeff, min_size=m, max_size=m)) + [draw(nonzero)]
+    if kind == "first remainder cancels":
+        # high = c * x1^delta * low + rest with rest of x1-degree below
+        # deg(low) - 1: the first pseudo-remainder is lc(low)^(delta + 1) * rest
+        low = g if n >= m else f
+        delta = abs(n - m)
+        rest = draw(st.lists(coeff, min_size=len(low) - 2, max_size=len(low) - 2))
+        scale = draw(nonzero)
+        high = [0] * delta + [scale * x for x in low]
+        high[:len(rest)] = [x + y for x, y in zip(high, rest)]
+        f, g = (high, low) if n >= m else (low, high)
+    if kind in ("f lead zero", "both leads zero"):
+        f[n] = 0
+    if kind in ("g lead zero", "both leads zero"):
+        g[m] = 0
+    return f, g
+
+
 class TestNodeKernel:
     """Forms with constant coefficients take a single node, so resultant is
     the subresultant PRS and its formal-degree rule alone."""
@@ -218,6 +270,17 @@ class TestNodeKernel:
         f, g = constant_form(*fc), constant_form(*gc)
         assert resultant(f, g) == leibniz(integer_rows(f, g))
 
+    @settings(max_examples=60)
+    @given(st.integers(1, 5), st.data())
+    def test_line_kernel_matches_node_kernel(self, n, data):
+        # equal degrees are drawn as often as unequal ones; each node is
+        # random or of a kind that leaves the lockstep
+        m = data.draw(st.one_of(st.just(n), st.integers(1, 5)))
+        nodes = data.draw(st.lists(line_node(n, m), min_size=1, max_size=41))
+        f = [list(column) for column in zip(*(node[0] for node in nodes))]
+        g = [list(column) for column in zip(*(node[1] for node in nodes))]
+        assert _line_resultants(f, g) == [_integer_resultant(*node) for node in nodes]
+
     def test_form_vanishing_at_a_node(self):
         # F = x*x1 + x*x2 is identically zero at the node x = 0
         f = BinaryForm(1, (parse("x"), parse("x")))
@@ -234,6 +297,13 @@ class TestNodeKernel:
         assert _interpolate([0, 1, 4], 0) == [0, 0, 1]
         with pytest.raises(ArithmeticError):
             _interpolate([0, 0, 1], 0)
+
+    def test_inexact_line_division_raises(self):
+        # every division at a lockstep node of the line kernel is checked;
+        # the theory makes them exact, so the check is driven directly
+        assert _exact_line([9, -8, 0], [3, 4, -5]) == [3, -2, 0]
+        with pytest.raises(ArithmeticError, match="inexact division of 7 by 2"):
+            _exact_line([9, 7, -8], [3, 2, 4])
 
 
 class TestResultant:
