@@ -17,19 +17,10 @@ coefficients, and their resultant is taken without any matrix by the
 subresultant polynomial remainder sequence in O(nm) integer operations
 (W. S. Brown and J. F. Traub, On Euclid's algorithm and the theory of
 subresultants, JACM 18, 1971).  The grid is taken one line of the last
-axis at a time, and the PRS runs over a line's nodes in lockstep, one
-comprehension per coefficient and step across them, while each node's
-sequence is normal: both formal leading coefficients nonzero, and every
-remainder one degree below its divisor.  A node whose sequence is not
-normal leaves the lockstep and is taken on its own.  The PRS works with
-actual degrees, so there the formal ones are restored first: if both
-x1^deg coefficients vanish, the forms share the root x2 = 0 and the
-resultant is 0; if only F's does, Res(F, G) = (-1)^(nm) Res(G, F); and
-with lc(F) nonzero, each of the k vanishing leading coefficients of G
-contributes a factor lc(F), since Res(F, G) = lc(F)^m * prod of G over
-the roots of F.  The values are then interpolated one axis at a time in
-integer arithmetic.  Every division on the way is exact by the theory,
-and one that leaves a remainder raises ArithmeticError.
+axis at a time, and one PRS loop runs over all of a line's nodes in
+lockstep, grouped by the degrees of their sequences.  The values are
+interpolated one axis at a time in integer arithmetic.  Every division
+is exact by the theory; one that leaves a remainder raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -87,8 +78,7 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
 
     The grid values come one line of the last axis at a time (one node
     when no variable is used), and each line's resultants are taken
-    together: the subresultant PRS in lockstep over the nodes whose
-    sequence is normal, and on its own at every other node."""
+    together by the subresultant PRS in lockstep."""
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise ValueError("Sylvester matrix needs forms of degree at least 1")
@@ -112,134 +102,121 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
     })
 
 
-def _integer_resultant(f: Sequence[int], g: Sequence[int]) -> int:
-    """Sylvester determinant of integer forms with ascending coefficients
-    f and g, at their formal degrees len - 1 (both at least 1)."""
-    n, m = len(f) - 1, len(g) - 1
-    sign = 1
-    if not f[n]:
-        if not g[m]:
-            return 0  # a shared root at x2 = 0: the first column is zero
-        f, g, n, m = g, f, m, n
-        sign = -1 if n * m % 2 else 1
-    b = g[::-1]
-    k = 0
-    while not b[k]:
-        k += 1
-        if k > m:
-            return 0
-    return sign * f[n] ** k * _subresultant_prs(f[::-1], b[k:])
-
-
-def _subresultant_prs(a: Sequence[int], b: Sequence[int]) -> int:
-    """Resultant of integer polynomials with descending coefficients and
-    nonzero leading ones, by the subresultant polynomial remainder sequence
-    (Brown & Traub 1971): pseudo-remainders divided by g*h^delta, with
-    h updated to g^delta / h^(delta-1)."""
-    sign = 1
-    if len(a) < len(b):
-        a, b = b, a
-        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
-    g = h = 1
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da * db % 2:
-            sign = -sign
-        lead = b[0]
-        tail = b[1:]
-        r = a
-        for _ in range(delta + 1):
-            q = r[0]
-            r = [lead * x - q * y for x, y in zip(r[1:], tail)] + [lead * x for x in r[db + 1:]]
-        while not r[0]:
-            del r[0]
-            if not r:
-                return 0
-        a, b = b, _exact_quotients(r, g * h ** delta)
-        g = lead
-        if delta:
-            h = _exact_quotients([g ** delta], h ** (delta - 1))[0]
-    da = len(a) - 1
-    return sign * _exact_quotients([b[0] ** da], h ** (da - 1))[0]
-
-
 def _line_resultants(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[int]:
-    """_integer_resultant at every node of a grid line, where f[i][j] and
-    g[i][j] are the x1^i coefficients of the two forms at node j.
+    """The resultant at every node of a grid line, where f[i][j] and g[i][j]
+    are the x1^i coefficients of the two forms at node j.
 
-    The nodes whose remainder sequence is normal run _subresultant_prs in
-    lockstep: each pseudo-remainder step and each exact division is one
-    comprehension per coefficient across them.  Normal means that every
-    remainder has degree one less than its divisor, so after the first
-    step (delta = |n - m|, divided by g*h^delta = 1, then h = g^delta) every
-    delta is 1 and h is the last g.  That is the arithmetic of
-    _subresultant_prs for such a node, so every value is the same.  A node
-    leaves the lockstep as soon as its sequence is not normal, when a
-    formal leading coefficient of f or g is zero or a remainder's leading
-    coefficient vanishes, and _integer_resultant takes it."""
+    The nodes with both formal leading coefficients nonzero form one group.
+    Any other node takes the formal-degree rule first, its factor applied at
+    the end: two zero leads give 0, Res(F, G) = (-1)^(nm) Res(G, F), and
+    each of k vanishing leading coefficients of G gives a factor lc(F), as
+    Res(F, G) = lc(F)^m * prod of G over the roots of F.  A group, keyed by
+    the degrees (da, db) of a and b, steps in lockstep with one sign: the
+    pseudo-remainder is divided by g*h^delta, delta = da - db, then g = lc(b)
+    and h = g^delta / h^(delta - 1), from g = h = 1.  Where a remainder
+    vanishes the value is 0; where it drops more than a degree the node moves
+    to the group of its new degree pair.  Constant b gives b^da / h^(da-1)."""
+    n, m = len(f) - 1, len(g) - 1
     values = [0] * len(f[0])
-    nodes = [j for j, (x, y) in enumerate(zip(f[-1], g[-1])) if x and y]
-    left = [j for j, (x, y) in enumerate(zip(f[-1], g[-1])) if not (x and y)]
-    a, b = ([[c[j] for j in nodes] for c in reversed(form)] if left else form[::-1]
-            for form in (f, g))
-    sign = 1
-    if len(a) < len(b):
-        a, b = b, a
-        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
-    lead = h = None  # the sequence's g and h at each node, once the first step is done
-    while len(b) > 1 and nodes:
-        da, db = len(a) - 1, len(b) - 1
-        if da * db % 2:
-            sign = -sign
-        r = a
-        for _ in range(da - db + 1):
-            r = ([[l * x - q * y for l, x, q, y in zip(b[0], xs, r[0], ys)]
-                  for xs, ys in zip(r[1:], b[1:])]
-                 + [[l * x for l, x in zip(b[0], xs)] for xs in r[db + 1:]])
-        if not all(r[0]):
-            left += [j for j, x in zip(nodes, r[0]) if not x]
-            keep = [i for i, x in enumerate(r[0]) if x]
-            nodes = [nodes[i] for i in keep]
-            r, b = ([[c[i] for i in keep] for c in rows] for rows in (r, b))
-            if h is not None:
-                lead, h = ([c[i] for i in keep] for c in (lead, h))
-        if h is None:
-            h = [x ** (da - db) for x in b[0]]
+    factors: dict[int, int] = {}  # node -> its formal-degree factor
+    normal = [j for j, (x, y) in enumerate(zip(f[-1], g[-1])) if x and y]
+    a, b = ([[c[j] for j in normal] for c in reversed(form)] if len(normal) < len(values)
+            else form[::-1] for form in (f, g))
+    groups = {(n + 1, m + 1): (normal, a, b, None, None, 1)} if normal else {}
+
+    def join(nodes, a, b, lead, h, sign):
+        """Adds the group (nodes, a, b, g, h, sign), g = h = None standing
+        for 1, to the groups keyed by (len(a), len(b)), merged into the one
+        there, whose sign the joining nodes take into their factors."""
+        key = (len(a), len(b))
+        if key in groups:
+            nodes0, a0, b0, lead0, h0, sign0 = groups[key]
+            if sign != sign0:
+                for j in nodes:
+                    factors[j] = -factors.get(j, 1)
+            nodes, lead, h, sign = nodes0 + nodes, lead0 + lead, h0 + h, sign0
+            a, b = ([x + y for x, y in zip(p, q)] for p, q in ((a0, a), (b0, b)))
+        groups[key] = nodes, a, b, lead, h, sign
+
+    starts: dict[tuple[int, int], list[tuple[int, list[int], list[int]]]] = {}
+    for j in [j for j, (x, y) in enumerate(zip(f[-1], g[-1])) if (x or y) and not (x and y)]:
+        a, b, factors[j] = [c[j] for c in f], [c[j] for c in g], 1
+        if not a[-1]:
+            a, b, factors[j] = b, a, (-1) ** (n * m)
+        while b and not b[-1]:
+            b.pop()
+            factors[j] *= a[-1]
+        if b:  # else a form vanishes at the node
+            starts.setdefault((len(a), len(b)), []).append((j, a[::-1], b[::-1]))
+    for nodes, a, b in (zip(*start) for start in starts.values()):
+        # g = h = 1 as lists, so that the group can join one past its first step
+        ones = [1] * len(nodes)
+        join(list(nodes), [list(c) for c in zip(*a)], [list(c) for c in zip(*b)], ones, ones, 1)
+    while groups:
+        # a step only lowers the pair, so taking the largest first lets nodes meet
+        nodes, a, b, lead, h, sign = groups.pop(max(groups))
+        while len(b) > 1:
+            da, db = len(a) - 1, len(b) - 1
+            if da < db:  # the swap's sign (-1)^(da*db) cancels the step's
+                a, b, da, db = b, a, db, da
+            elif da * db % 2:
+                sign = -sign
+            delta = da - db
+            r = a
+            for _ in range(delta + 1):
+                r = ([[l * x - q * y for l, x, q, y in zip(b[0], xs, r[0], ys)]
+                      for xs, ys in zip(r[1:], b[1:])]
+                     + [[l * x for l, x in zip(b[0], xs)] for xs in r[db + 1:]])
+            if lead is not None:
+                divisors = ([x * y for x, y in zip(lead, h)] if delta == 1
+                            else [x * y ** delta for x, y in zip(lead, h)])
+                r = [_exact_line(xs, divisors) for xs in r]
+            if delta == 1:
+                h = b[0]
+            elif lead is None:
+                h = [x ** delta for x in b[0]]
+            elif delta:  # at delta = 0, h = g^0 / h^-1 stays
+                h = _exact_line([x ** delta for x in b[0]], [y ** (delta - 1) for y in h])
+            a, b, lead = b, r, b[0]
+            if not all(b[0]):
+                # where a remainder vanishes the value is 0, and where it drops
+                # more than a degree the node goes on in the group of its new pair
+                drops: dict[int, list[int]] = {}
+                for i in [i for i, x in enumerate(b[0]) if not x]:
+                    top = next((t for t, xs in enumerate(b) if xs[i]), 0)
+                    if top:
+                        drops.setdefault(top, []).append(i)
+                for top, keep in drops.items():
+                    join([nodes[i] for i in keep], [[c[i] for i in keep] for c in a],
+                         [[c[i] for i in keep] for c in b[top:]], [lead[i] for i in keep],
+                         [h[i] for i in keep], sign)
+                keep = [i for i, x in enumerate(b[0]) if x]
+                if not keep:
+                    break
+                nodes, lead, h = ([c[i] for i in keep] for c in (nodes, lead, h))
+                a, b = ([[c[i] for i in keep] for c in rows] for rows in (a, b))
+            if groups and (len(a), len(b)) in groups:
+                join(nodes, a, b, lead, h, sign)
+                break
         else:
-            divisors = [x * y for x, y in zip(lead, h)]
-            r = [_exact_line(xs, divisors) for xs in r]
-            h = b[0]
-        a, b, lead = b, r, b[0]
-    # a normal sequence ends with a of degree 1, where the last division is by h^0
-    for j, value in zip(nodes, b[0]):
-        values[j] = sign * value
-    for j in left:
-        values[j] = _integer_resultant([c[j] for c in f], [c[j] for c in g])
+            da = len(a) - 1
+            last = b[0] if da == 1 else _exact_line([x ** da for x in b[0]],
+                                                    [y ** (da - 1) for y in h])
+            for j, value in zip(nodes, last):
+                values[j] = sign * value
+    for j, factor in factors.items():
+        values[j] *= factor
     return values
 
 
 def _exact_line(values: list[int], divisors: list[int]) -> list[int]:
-    """values[j] // divisors[j] for each j, raising if any division leaves a
-    remainder."""
-    pairs = [divmod(x, d) for x, d in zip(values, divisors)]
-    if any([r for _, r in pairs]):
-        value, divisor = next((x, d) for x, d, (_, r) in zip(values, divisors, pairs) if r)
+    """values[j] // divisors[j] for each j of a nonempty line, raising if any
+    division leaves a remainder."""
+    quotients, remainders = zip(*map(divmod, values, divisors))
+    if any(remainders):
+        value, divisor = next((x, d) for x, d, r in zip(values, divisors, remainders) if r)
         raise ArithmeticError(f"inexact division of {value} by {divisor}")
-    return [q for q, _ in pairs]
-
-
-def _exact_quotients(values: list[int], divisor: int) -> list[int]:
-    """values // divisor, raising if any division leaves a remainder."""
-    if divisor == 1:
-        return values
-    quotients = []
-    for value in values:
-        quotient, remainder = divmod(value, divisor)
-        if remainder:
-            raise ArithmeticError(f"inexact division of {value} by {divisor}")
-        quotients.append(quotient)
-    return quotients
+    return list(quotients)
 
 
 def _max_degree(coeffs: list[dict[tuple[int, ...], int]], axis: int) -> int:
@@ -315,4 +292,4 @@ def _interpolate(values: list[int], start: int) -> list[int]:
         poly = ([diffs[k] * weight - node * poly[0]]
                 + [poly[i - 1] - node * poly[i] for i in range(1, len(poly))]
                 + [poly[-1]])
-    return _exact_quotients(poly, factorial(d))
+    return _exact_line(poly, [factorial(d)] * len(poly))

@@ -18,7 +18,6 @@ from pardual.dualize import DegenerateCurveError, _partial_forms
 from pardual.elimination import (
     BinaryForm,
     _exact_line,
-    _integer_resultant,
     _interpolate,
     _line_resultants,
     resultant,
@@ -202,36 +201,54 @@ def convolve(p, q):
     return out
 
 
+def add(p, q):
+    """Ascending coefficients of the sum of two binary forms."""
+    longer, shorter = (p, q) if len(p) >= len(q) else (q, p)
+    return [x + y for x, y in zip(longer, shorter + [0] * (len(longer) - len(shorter)))]
+
+
 NODE_KINDS = ("random", "f lead zero", "g lead zero", "both leads zero",
-              "first remainder cancels", "shared root")
+              "first remainder cancels", "later remainder drops two degrees", "shared root",
+              "every node has lc(F) = 0")
 
 
 @st.composite
-def line_node(draw, n, m):
+def line_node(draw, n, m, kind):
     """Ascending integer coefficients (f, g) of degrees n and m at one node,
-    random or built to leave the lockstep of the line kernel."""
+    random or built to leave the lockstep of the normal nodes."""
     coeff = st.integers(-9, 9)
     nonzero = coeff.filter(bool)
-    kind = draw(st.sampled_from(NODE_KINDS))
+
+    def poly(degree):
+        return draw(st.lists(coeff, min_size=degree, max_size=degree)) + [draw(nonzero)]
+
     if kind == "shared root":
         # both forms have the factor u*x2 + v*x1, so the resultant is 0
         root = [draw(coeff), draw(nonzero)]  # [u, v]
-        f = convolve(root, draw(st.lists(coeff, min_size=n - 1, max_size=n - 1)) + [draw(nonzero)])
-        g = convolve(root, draw(st.lists(coeff, min_size=m - 1, max_size=m - 1)) + [draw(nonzero)])
-        return f, g
-    f = draw(st.lists(coeff, min_size=n, max_size=n)) + [draw(nonzero)]
-    g = draw(st.lists(coeff, min_size=m, max_size=m)) + [draw(nonzero)]
+        return convolve(root, poly(n - 1)), convolve(root, poly(m - 1))
+    f, g = poly(n), poly(m)
+    low = g if n >= m else f
+    delta = abs(n - m)
     if kind == "first remainder cancels":
         # high = c * x1^delta * low + rest with rest of x1-degree below
         # deg(low) - 1: the first pseudo-remainder is lc(low)^(delta + 1) * rest
-        low = g if n >= m else f
-        delta = abs(n - m)
         rest = draw(st.lists(coeff, min_size=len(low) - 2, max_size=len(low) - 2))
         scale = draw(nonzero)
         high = [0] * delta + [scale * x for x in low]
         high[:len(rest)] = [x + y for x, y in zip(high, rest)]
         f, g = (high, low) if n >= m else (low, high)
-    if kind in ("f lead zero", "both leads zero"):
+    if kind == "later remainder drops two degrees":
+        # low = q * r1 + rest and high = q2 * low + r1, with r1 one degree
+        # below low, q linear, q2 of degree delta and rest of x1-degree below
+        # deg(low) - 2: the first remainder is a multiple of r1 and the second
+        # one of rest, which drops at least two degrees below r1 (and is 0
+        # when deg(low) = 2)
+        r1 = poly(len(low) - 2)
+        rest = draw(st.lists(coeff, min_size=max(len(low) - 3, 0), max_size=max(len(low) - 3, 0)))
+        low = add(convolve(poly(1), r1), rest)
+        high = add(convolve(poly(delta), low), r1)
+        f, g = (high, low) if n >= m else (low, high)
+    if kind in ("f lead zero", "both leads zero", "every node has lc(F) = 0"):
         f[n] = 0
     if kind in ("g lead zero", "both leads zero"):
         g[m] = 0
@@ -274,12 +291,19 @@ class TestNodeKernel:
     @given(st.integers(1, 5), st.data())
     def test_line_kernel_matches_node_kernel(self, n, data):
         # equal degrees are drawn as often as unequal ones; each node is
-        # random or of a kind that leaves the lockstep
+        # random or of a kind that leaves the normal group, unless the whole
+        # line has lc(F) = 0 (as every node of the x = 0 line of a dual has)
         m = data.draw(st.one_of(st.just(n), st.integers(1, 5)))
-        nodes = data.draw(st.lists(line_node(n, m), min_size=1, max_size=41))
+        kind = data.draw(st.sampled_from(NODE_KINDS))
+        kinds = st.just(kind) if kind == NODE_KINDS[-1] else st.sampled_from(NODE_KINDS[:-1])
+        nodes = data.draw(st.lists(kinds.flatmap(lambda k: line_node(n, m, k)),
+                                   min_size=1, max_size=41))
         f = [list(column) for column in zip(*(node[0] for node in nodes))]
         g = [list(column) for column in zip(*(node[1] for node in nodes))]
-        assert _line_resultants(f, g) == [_integer_resultant(*node) for node in nodes]
+        # a form that vanishes at a node gives zero Sylvester rows there
+        assert _line_resultants(f, g) == [
+            determinant(integer_rows(constant_form(*fc), constant_form(*gc)))
+            if any(fc) and any(gc) else 0 for fc, gc in nodes]
 
     def test_form_vanishing_at_a_node(self):
         # F = x*x1 + x*x2 is identically zero at the node x = 0
