@@ -106,28 +106,14 @@ class DualCurve(NamedTuple):
     psi_power_removed: int
 
 
-class CurveSamples:
+class CurveSamples(NamedTuple):
     """Points on f = 0 and the gradient (f1, f2) at each; len() counts points."""
 
-    __slots__ = ("points", "gradients")
-
-    def __init__(self, points: tuple[tuple[float, float], ...],
-                 gradients: tuple[tuple[float, float], ...]):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "gradients", gradients)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    points: tuple[tuple[float, float], ...]
+    gradients: tuple[tuple[float, float], ...]
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CurveSamples) and self.points == other.points
-                and self.gradients == other.gradients)
 
 
 class VerifyReport(NamedTuple):

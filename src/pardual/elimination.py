@@ -17,10 +17,10 @@ coefficients, and their resultant is taken without any matrix by the
 subresultant polynomial remainder sequence in O(nm) integer operations
 (W. S. Brown and J. F. Traub, On Euclid's algorithm and the theory of
 subresultants, JACM 18, 1971).  The grid is taken one line of the last
-axis at a time, and one PRS loop runs over all of a line's nodes in
-lockstep, grouped by the degrees of their sequences.  The values are
-interpolated one axis at a time in integer arithmetic.  Every division
-is exact by the theory; one that leaves a remainder raises ArithmeticError.
+axis at a time, and one PRS loop steps a line's nodes in lockstep, in
+groups of one degree pair.  The values are interpolated one axis at a
+time in integer arithmetic.  Every division is exact by the theory; one
+that leaves a remainder raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -110,34 +110,22 @@ def _line_resultants(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[int
     Any other node takes the formal-degree rule first, its factor applied at
     the end: two zero leads give 0, Res(F, G) = (-1)^(nm) Res(G, F), and
     each of k vanishing leading coefficients of G gives a factor lc(F), as
-    Res(F, G) = lc(F)^m * prod of G over the roots of F.  A group, keyed by
-    the degrees (da, db) of a and b, steps in lockstep with one sign: the
-    pseudo-remainder is divided by g*h^delta, delta = da - db, then g = lc(b)
-    and h = g^delta / h^(delta - 1), from g = h = 1.  Where a remainder
-    vanishes the value is 0; where it drops more than a degree the node moves
-    to the group of its new degree pair.  Constant b gives b^da / h^(da-1)."""
+    Res(F, G) = lc(F)^m * prod of G over the roots of F; then the nodes of
+    each degree pair (da, db) of a and b form a group.  Each group steps to
+    its end in lockstep with one sign: the pseudo-remainder is divided by
+    g*h^delta, delta = da - db, then g = lc(b) and h = g^delta / h^(delta-1),
+    from g = h = 1.  Where a remainder vanishes the value is 0; the nodes
+    where it drops more than a degree go on as a group of their own.
+    Constant b gives b^da / h^(da-1)."""
     n, m = len(f) - 1, len(g) - 1
     values = [0] * len(f[0])
     factors: dict[int, int] = {}  # node -> its formal-degree factor
     normal = [j for j, (x, y) in enumerate(zip(f[-1], g[-1])) if x and y]
     a, b = ([[c[j] for j in normal] for c in reversed(form)] if len(normal) < len(values)
             else form[::-1] for form in (f, g))
-    groups = {(n + 1, m + 1): (normal, a, b, None, None, 1)} if normal else {}
-
-    def join(nodes, a, b, lead, h, sign):
-        """Adds the group (nodes, a, b, g, h, sign), g = h = None standing
-        for 1, to the groups keyed by (len(a), len(b)), merged into the one
-        there, whose sign the joining nodes take into their factors."""
-        key = (len(a), len(b))
-        if key in groups:
-            nodes0, a0, b0, lead0, h0, sign0 = groups[key]
-            if sign != sign0:
-                for j in nodes:
-                    factors[j] = -factors.get(j, 1)
-            nodes, lead, h, sign = nodes0 + nodes, lead0 + lead, h0 + h, sign0
-            a, b = ([x + y for x, y in zip(p, q)] for p, q in ((a0, a), (b0, b)))
-        groups[key] = nodes, a, b, lead, h, sign
-
+    # g = h = None stands for 1: the normal group's first step skips dividing
+    # by g*h^delta, over a tenth of the kernel's time on the benchmark's lines
+    work = [(normal, a, b, None, None, 1)] if normal else []
     starts: dict[tuple[int, int], list[tuple[int, list[int], list[int]]]] = {}
     for j in [j for j, (x, y) in enumerate(zip(f[-1], g[-1])) if (x or y) and not (x and y)]:
         a, b, factors[j] = [c[j] for c in f], [c[j] for c in g], 1
@@ -149,12 +137,12 @@ def _line_resultants(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[int
         if b:  # else a form vanishes at the node
             starts.setdefault((len(a), len(b)), []).append((j, a[::-1], b[::-1]))
     for nodes, a, b in (zip(*start) for start in starts.values()):
-        # g = h = 1 as lists, so that the group can join one past its first step
+        # g = h = 1 as lists, as b may already be constant
         ones = [1] * len(nodes)
-        join(list(nodes), [list(c) for c in zip(*a)], [list(c) for c in zip(*b)], ones, ones, 1)
-    while groups:
-        # a step only lowers the pair, so taking the largest first lets nodes meet
-        nodes, a, b, lead, h, sign = groups.pop(max(groups))
+        work.append((list(nodes), [list(c) for c in zip(*a)], [list(c) for c in zip(*b)],
+                     ones, ones, 1))
+    while work:
+        nodes, a, b, lead, h, sign = work.pop()
         while len(b) > 1:
             da, db = len(a) - 1, len(b) - 1
             if da < db:  # the swap's sign (-1)^(da*db) cancels the step's
@@ -179,25 +167,22 @@ def _line_resultants(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[int
                 h = _exact_line([x ** delta for x in b[0]], [y ** (delta - 1) for y in h])
             a, b, lead = b, r, b[0]
             if not all(b[0]):
-                # where a remainder vanishes the value is 0, and where it drops
-                # more than a degree the node goes on in the group of its new pair
+                # where a remainder vanishes the value is 0, and the nodes where
+                # it drops more than a degree go on as a group of their new pair
                 drops: dict[int, list[int]] = {}
                 for i in [i for i, x in enumerate(b[0]) if not x]:
                     top = next((t for t, xs in enumerate(b) if xs[i]), 0)
                     if top:
                         drops.setdefault(top, []).append(i)
                 for top, keep in drops.items():
-                    join([nodes[i] for i in keep], [[c[i] for i in keep] for c in a],
-                         [[c[i] for i in keep] for c in b[top:]], [lead[i] for i in keep],
-                         [h[i] for i in keep], sign)
+                    work.append(([nodes[i] for i in keep], [[c[i] for i in keep] for c in a],
+                                 [[c[i] for i in keep] for c in b[top:]],
+                                 [lead[i] for i in keep], [h[i] for i in keep], sign))
                 keep = [i for i, x in enumerate(b[0]) if x]
                 if not keep:
                     break
                 nodes, lead, h = ([c[i] for i in keep] for c in (nodes, lead, h))
                 a, b = ([[c[i] for i in keep] for c in rows] for rows in (a, b))
-            if groups and (len(a), len(b)) in groups:
-                join(nodes, a, b, lead, h, sign)
-                break
         else:
             da = len(a) - 1
             last = b[0] if da == 1 else _exact_line([x ** da for x in b[0]],

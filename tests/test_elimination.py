@@ -208,7 +208,8 @@ def add(p, q):
 
 
 NODE_KINDS = ("random", "f lead zero", "g lead zero", "both leads zero",
-              "first remainder cancels", "later remainder drops two degrees", "shared root",
+              "first remainder cancels", "later remainder drops two degrees",
+              "two later remainders each drop two degrees", "shared root",
               "every node has lc(F) = 0")
 
 
@@ -236,6 +237,17 @@ def line_node(draw, n, m, kind):
         scale = draw(nonzero)
         high = [0] * delta + [scale * x for x in low]
         high[:len(rest)] = [x + y for x, y in zip(high, rest)]
+        f, g = (high, low) if n >= m else (low, high)
+    if kind == "two later remainders each drop two degrees" and len(low) < 6:
+        kind = "later remainder drops two degrees"
+    if kind == "two later remainders each drop two degrees":
+        # low = q * r2 + r3 and high = q2 * low + r2, with r2 two degrees below
+        # low, q quadratic and r3 two degrees below r2: the first remainder, a
+        # multiple of r2, leaves the normal group, and the next one, a
+        # multiple of r3, leaves the group it went on in
+        r2 = poly(len(low) - 3)
+        low = add(convolve(poly(2), r2), poly(len(low) - 5))
+        high = add(convolve(poly(delta), low), r2)
         f, g = (high, low) if n >= m else (low, high)
     if kind == "later remainder drops two degrees":
         # low = q * r1 + rest and high = q2 * low + r1, with r1 one degree
@@ -304,6 +316,22 @@ class TestNodeKernel:
         assert _line_resultants(f, g) == [
             determinant(integer_rows(constant_form(*fc), constant_form(*gc)))
             if any(fc) and any(gc) else 0 for fc, gc in nodes]
+
+    def test_line_kernel_split_group_drops_again(self):
+        # the middle node's sequence has degrees 6, 5, 3, 1: it leaves the
+        # normal group at its first remainder and its own group at the next
+        r2, r3 = [1, 2, 0, 1], [3, 1]
+        low = add(convolve([1, 0, 1], r2), r3)
+        high = add(convolve([1, 1], low), r2)
+        rng = random.Random(19)
+        nodes = [([rng.randint(-9, 9) for _ in range(6)] + [rng.choice([-2, 1, 3])],
+                  [rng.randint(-9, 9) for _ in range(5)] + [rng.choice([-3, 1, 2])])
+                 for _ in range(6)]
+        nodes.insert(3, (high, low))
+        f = [list(column) for column in zip(*(node[0] for node in nodes))]
+        g = [list(column) for column in zip(*(node[1] for node in nodes))]
+        assert _line_resultants(f, g) == [
+            determinant(integer_rows(constant_form(*fc), constant_form(*gc))) for fc, gc in nodes]
 
     def test_form_vanishing_at_a_node(self):
         # F = x*x1 + x*x2 is identically zero at the node x = 0

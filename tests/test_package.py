@@ -1,7 +1,9 @@
 """The package surface: the names pardual exports and the records it returns."""
 
 import ast
+import copy
 import importlib
+import pickle
 import sys
 from pathlib import Path
 
@@ -57,17 +59,30 @@ def test_dir_lists_exports():
     assert set(pardual.__all__) <= set(dir(pardual))
 
 
-@pytest.mark.parametrize("record, field", [
+RECORDS = [
     (DualCurve(parse("x^2 - y"), 2, 2), "g"),
     (CurveSamples(((0.0, 1.0),), ((0.0, 2.0),)), "points"),
     (VerifyReport(0.0, 1, 0), "tested"),
     (ConicMatrix.of(1, 1, -1, 0, 0, 0), "a1"),
     (BinaryForm(1, (parse("x"), parse("y"))), "degree"),
     (Viewport(-1.0, 1.0, -1.0, 1.0), "xmin"),
-])
+]
+
+
+@pytest.mark.parametrize("record, field", RECORDS)
 def test_frozen_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
+
+
+@pytest.mark.parametrize("record", [record for record, _ in RECORDS])
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda record: pickle.loads(pickle.dumps(record))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_records_copy_and_pickle(record, clone):
+    twin = clone(record)
+    assert type(twin) is type(record)
+    assert twin == record
 
 
 def test_record_constructors_and_defaults():
