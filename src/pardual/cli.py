@@ -5,10 +5,11 @@ to stdout as "key: value" lines (or SVG text), diagnostics to stderr.
 Exit codes: 0 success, 1 verification above threshold, 2 bad input
 (including a window or coefficient too large for float evaluation),
 3 degenerate curve, 4 degree below 2 or above 12, 5 no verifiable
-samples, 6 unwritable output path.  Handlers raise ValueError on bad
-input; main prints the "error:" line and exits with the error's
-exit_code (3 to 5), or 2.  Each command loads only the modules it runs,
-importing dualize or plot once its input parses.
+samples, 6 unwritable output (an --out path, or a stdout pipe closed
+early, which exits quietly).  Handlers raise ValueError on bad input;
+main prints the "error:" line and exits with the error's exit_code
+(3 to 5), or 2.  Each command loads only the modules it runs, importing
+dualize or plot once its input parses.
 
 The polynomial argument is read from the first positional, or from stdin
 when it is "-" (first non-comment line).  Use "--" before positional
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -211,7 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: unwritable output, and no traceback;
+        # stdout now points at devnull, so the flush at shutdown cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 6
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)

@@ -106,14 +106,24 @@ class DualCurve(NamedTuple):
     psi_power_removed: int
 
 
-class CurveSamples(NamedTuple):
-    """Points on f = 0 and the gradient (f1, f2) at each; len() counts points."""
-
+class _CurveSamplesFields(NamedTuple):
     points: tuple[tuple[float, float], ...]
     gradients: tuple[tuple[float, float], ...]
 
+
+class CurveSamples(_CurveSamplesFields):
+    """Points on f = 0 and the gradient (f1, f2) at each; len() counts points."""
+
+    __slots__ = ()
+
     def __len__(self) -> int:
         return len(self.points)
+
+    @classmethod
+    def _make(cls, iterable) -> "CurveSamples":
+        # namedtuple's _make, and _replace through it, checks len() against
+        # the field count, and len() counts points here
+        return cls(*iterable)
 
 
 class VerifyReport(NamedTuple):

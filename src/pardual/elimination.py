@@ -12,22 +12,28 @@ The resultant is not expanded symbolically; it is evaluated and
 interpolated.  Its degree in each variable v the coefficients use is at
 most D_v = m*maxdeg_v(F) + n*maxdeg_v(G), so its values on a tensor grid
 of D_v + 1 consecutive integers per variable, centred on zero to keep them
-small, determine it.  At each grid point the two forms have integer
-coefficients, and their resultant is taken without any matrix by the
-subresultant polynomial remainder sequence in O(nm) integer operations
-(W. S. Brown and J. F. Traub, On Euclid's algorithm and the theory of
-subresultants, JACM 18, 1971).  The grid is taken one line of the last
-axis at a time, and one PRS loop steps a line's nodes in lockstep, in
-groups of one degree pair.  The values are interpolated one axis at a
-time in integer arithmetic.  Every division is exact by the theory; one
-that leaves a remainder raises ArithmeticError.
+small, determine it.  A coefficient is evaluated through its primitive
+part, its values over their positive gcd: a part that coefficients share
+is evaluated once, and each takes the part's values times its integer
+factor.  The two partial forms of a degree-d curve's cone
+(dualize._partial_forms) have 2d coefficients, all multiples of the
+cone's d + 1, so the dual costs d + 1 evaluations per node.  At each
+grid point the two forms have integer coefficients, and their resultant
+is taken without any matrix by the subresultant polynomial remainder
+sequence in O(nm) integer operations (W. S. Brown and J. F. Traub, On
+Euclid's algorithm and the theory of subresultants, JACM 18, 1971).
+The grid is taken one line of the last axis at a time, and one PRS loop
+steps a line's nodes in lockstep, in groups of one degree pair.  The
+values are interpolated one axis at a time in integer arithmetic.  Every
+division is exact by the theory; one that leaves a remainder raises
+ArithmeticError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .polyring import (
@@ -91,12 +97,23 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
               for axis in range(len(used))]
     axes = [range(-(bound // 2), bound - bound // 2 + 1) for bound in bounds]
 
-    lines = zip(*(_grid_lines(coeff, axes) for coeff in coeffs))
-    values = [value for line in lines for value in _line_resultants(line[:n + 1], line[n + 1:])]
+    # each distinct primitive part is evaluated once, and a coefficient's line
+    # is its part's line times the coefficient's integer factor
+    parts: dict[frozenset, int] = {}  # primitive part -> its index
+    factors = []  # (part index, factor) per coefficient
+    for coeff in coeffs:
+        factor = gcd(*coeff.values()) or 1  # a zero coefficient: gcd 0, empty part
+        part = frozenset((exps, c // factor) for exps, c in coeff.items())
+        factors.append((parts.setdefault(part, len(parts)), factor))
+    values = []
+    for part_lines in zip(*(_grid_lines(dict(part), axes) for part in parts)):
+        line = [part_lines[i] if factor == 1 else [factor * v for v in part_lines[i]]
+                for i, factor in factors]
+        values += _line_resultants(line[:n + 1], line[n + 1:])
     _interpolate_grid(values, axes)
     divisor = f_scale ** m * g_scale ** n
     return Polynomial({
-        monomial(used, exps): Fraction(value, divisor)
+        monomial(used, exps): value if divisor == 1 else Fraction(value, divisor)
         for exps, value in zip(product(*(range(len(axis)) for axis in axes)), values)
         if value
     })

@@ -7,7 +7,9 @@ how a monomial is stored (a sorted tuple of (variable, exponent) pairs
 with no zero exponents); every other module reads one with exponents()
 and builds one with monomial().  A polynomial maps monomials to nonzero
 rational coefficients, held as int or Fraction.  The constructor stores
-integral values as int and integer arithmetic keeps them int, so an
+an int as it is, with no Fraction made on the way, and any other
+integral value as int; integer arithmetic keeps them int, and
+content_and_primitive divides an integer polynomial with //, so an
 integer polynomial (every primitive part, every dual) costs no Fraction
 object per term.  Values are immutable and every operation is a pure
 function, so everything here is safe to share across threads.  No float
@@ -85,9 +87,12 @@ class Polynomial:
         data: dict[Monomial, Coefficient] = {}
         if terms:
             for mono, coeff in terms.items():
-                value = Fraction(coeff)
-                if value:
-                    data[mono] = value.numerator if value.denominator == 1 else value
+                if type(coeff) is not int:
+                    coeff = Fraction(coeff)
+                    if coeff.denominator == 1:
+                        coeff = coeff.numerator
+                if coeff:
+                    data[mono] = coeff
         self._terms = data
 
     @classmethod
@@ -234,13 +239,14 @@ def content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
         raise ValueError("the zero polynomial has no content/primitive split")
     numerators = gcd(*(coeff.numerator for coeff in p.terms.values()))
     denominators = lcm(*(coeff.denominator for coeff in p.terms.values()))
-    content = Fraction(numerators, denominators)
-    leading = max(p.terms, key=_mono_key)
-    if p.terms[leading] < 0:
-        content = -content
-    scale = 1 / content
-    primitive = Polynomial({mono: coeff * scale for mono, coeff in p.terms.items()})
-    return content, primitive
+    if p.terms[max(p.terms, key=_mono_key)] < 0:
+        numerators = -numerators
+    if denominators == 1:  # integral coefficients: exact // keeps them int
+        primitive = {mono: coeff // numerators for mono, coeff in p.terms.items()}
+    else:
+        scale = Fraction(denominators, numerators)
+        primitive = {mono: coeff * scale for mono, coeff in p.terms.items()}
+    return Fraction(numerators, denominators), Polynomial(primitive)
 
 
 def evaluate_exact(p: Polynomial, point: Mapping[VarId, Fraction | int]) -> Fraction:

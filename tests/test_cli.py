@@ -229,6 +229,20 @@ class TestPlotCommands:
         assert code == 6
         assert err != ""
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_pipe_exit_6(self, unbuffered):
+        # the reader closes the pipe before the child writes: unbuffered, the
+        # first print fails; buffered, the write waits for main's flush
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR), PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen([sys.executable, "-m", "pardual.cli", "dual", "--",
+                                 "x1^2 + x2^2 - 1"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 6
+        assert err == b""
+
     def test_envelope_cardinality(self, capsys):
         code, out, _ = run(capsys, "plot-envelope", "x1^2/4 + x2^2 - 1")
         assert code == 2  # implicit multiplication-free grammar: /4 is invalid

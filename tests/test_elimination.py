@@ -14,7 +14,8 @@ from helpers import (
     substitute,
     sylvester_matrix,
 )
-from pardual.dualize import DegenerateCurveError, _partial_forms
+from pardual import elimination
+from pardual.dualize import DegenerateCurveError, ImplicitCurve, _partial_forms, dual_curve
 from pardual.elimination import (
     BinaryForm,
     _exact_line,
@@ -426,6 +427,35 @@ class TestResultant:
         assume(any(f_coeffs) and any(g_coeffs))
         f, g = BinaryForm(n, f_coeffs), BinaryForm(m, g_coeffs)
         assert resultant(f, g) == leibniz(sylvester_matrix(f, g))
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 2), st.integers(1, 2), st.data())
+    def test_shared_coefficient_parts(self, n, m, data):
+        # coefficients that are integer multiples (negative, zero, repeated)
+        # of a few shared rational polynomials: each shared part's grid line is
+        # evaluated once and scaled by each coefficient's integer factor
+        coeff = polynomials(variables=(ETA, X, Y), max_terms=3, max_degree=2)
+        rational = coeff.map(lambda p: p * Fraction(1, data.draw(st.integers(1, 4))))
+        shared = data.draw(st.lists(rational, min_size=1, max_size=3))
+        multiple = st.builds(lambda p, k: k * p, st.sampled_from(shared), st.integers(-3, 3))
+        f_coeffs = tuple(data.draw(multiple) for _ in range(n + 1))
+        g_coeffs = tuple(data.draw(multiple) for _ in range(m + 1))
+        assume(any(f_coeffs) and any(g_coeffs))
+        f, g = BinaryForm(n, f_coeffs), BinaryForm(m, g_coeffs)
+        assert resultant(f, g) == leibniz(sylvester_matrix(f, g))
+
+    def test_dual_evaluates_each_cone_coefficient_once(self, monkeypatch):
+        # the partial forms' 2n coefficients are multiples of the cone's n + 1
+        calls = []
+        original = elimination._grid_lines
+
+        def counted(terms, axes):
+            calls.append(len(axes))
+            return original(terms, axes)
+
+        monkeypatch.setattr(elimination, "_grid_lines", counted)
+        dual_curve(ImplicitCurve(parse("x1^5 + 2*x1^2*x2^3 - x1*x2 + 3*x2 - 1")))
+        assert calls.count(2) == 5 + 1  # one per part over both axes, x and y
 
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from([2, 3]), st.data())

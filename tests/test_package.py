@@ -96,6 +96,19 @@ def test_record_constructors_and_defaults():
     assert not CurveSamples((), ())
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_curve_samples_make_and_replace(count):
+    # len() counts points, not fields, for any number of points
+    samples = CurveSamples(((0.0, 1.0),) * count, ((0.0, 2.0),) * count)
+    assert CurveSamples._make(samples) == samples
+    emptied = samples._replace(points=())
+    assert type(emptied) is CurveSamples
+    assert emptied == ((), samples.gradients)
+    assert len(emptied) == 0 and not emptied
+    with pytest.raises(TypeError):
+        CurveSamples._make([()])
+
+
 def test_runtime_imports_only_the_standard_library():
     # every import in the package, local ones included, is of pardual itself
     # or of a standard-library module

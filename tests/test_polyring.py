@@ -214,6 +214,22 @@ class TestContentPrimitive:
         content, primitive = content_and_primitive(p)
         assert content * primitive == p
 
+    @settings(max_examples=50)
+    @given(nonzero_polynomials(max_terms=4, max_degree=3),
+           nonzero_polynomials(max_terms=4, max_degree=3), st.integers(0, 3))
+    def test_integer_polynomials_stay_int(self, p, q, e):
+        content, primitive = content_and_primitive(p)
+        assert type(content) is Fraction
+        for result in (p, p + q, p * q, p ** e, primitive):
+            assert all(type(c) is int for c in result.terms.values())
+
+    @settings(max_examples=50)
+    @given(nonzero_polynomials(), st.integers(1, 12))
+    def test_integer_and_rational_paths_agree(self, p, k):
+        # p's coefficients are integers; p / k's are rational unless k divides them all
+        content, primitive = content_and_primitive(p)
+        assert content_and_primitive(p * Fraction(1, k)) == (content / k, primitive)
+
 
 class TestEvaluate:
     def test_circle_point(self):
