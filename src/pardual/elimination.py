@@ -22,11 +22,11 @@ grid point the two forms have integer coefficients, and their resultant
 is taken without any matrix by the subresultant polynomial remainder
 sequence in O(nm) integer operations (W. S. Brown and J. F. Traub, On
 Euclid's algorithm and the theory of subresultants, JACM 18, 1971).
-The grid is taken one line of the last axis at a time, and one PRS loop
-steps a line's nodes in lockstep, in groups of one degree pair.  The
-values are interpolated one axis at a time in integer arithmetic.  Every
-division is exact by the theory; one that leaves a remainder raises
-ArithmeticError.
+The grid is taken one line of the last axis at a time, its nodes grouped
+by formal-degree rule up front, and one PRS loop steps each group in
+lockstep.  The values are interpolated one axis at a time in integer
+arithmetic.  Every division is exact by the theory; one that leaves a
+remainder raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -123,43 +123,41 @@ def _line_resultants(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[int
     """The resultant at every node of a grid line, where f[i][j] and g[i][j]
     are the x1^i coefficients of the two forms at node j.
 
-    The nodes with both formal leading coefficients nonzero form one group.
-    Any other node takes the formal-degree rule first, its factor applied at
-    the end: two zero leads give 0, Res(F, G) = (-1)^(nm) Res(G, F), and
-    each of k vanishing leading coefficients of G gives a factor lc(F), as
-    Res(F, G) = lc(F)^m * prod of G over the roots of F; then the nodes of
-    each degree pair (da, db) of a and b form a group.  Each group steps to
-    its end in lockstep with one sign: the pseudo-remainder is divided by
-    g*h^delta, delta = da - db, then g = lc(b) and h = g^delta / h^(delta-1),
-    from g = h = 1.  Where a remainder vanishes the value is 0; the nodes
-    where it drops more than a degree go on as a group of their own.
-    Constant b gives b^da / h^(da-1)."""
+    The nodes are grouped by formal-degree rule up front, keyed (swap, k):
+    two zero leads give 0, Res(F, G) = (-1)^(nm) Res(G, F) puts a vanishing
+    lead second, and each of its k vanishing leading coefficients gives a
+    factor lc of the first form, as Res(F, G) = lc(F)^m * prod of G over the
+    roots of F.  Each group's rows are cut from the line's columns, and it
+    steps to its end in lockstep with one sign: the pseudo-remainder is
+    divided by g*h^delta, delta = da - db, then g = lc(b) and
+    h = g^delta / h^(delta-1), from g = h = 1.  Where a remainder vanishes
+    the value is 0; the nodes where it drops more than a degree go on as a
+    group of their own.  Constant b ends with the same h rule at delta = da."""
     n, m = len(f) - 1, len(g) - 1
     values = [0] * len(f[0])
-    factors: dict[int, int] = {}  # node -> its formal-degree factor
-    normal = [j for j, (x, y) in enumerate(zip(f[-1], g[-1])) if x and y]
-    a, b = ([[c[j] for j in normal] for c in reversed(form)] if len(normal) < len(values)
-            else form[::-1] for form in (f, g))
-    # g = h = None stands for 1: the normal group's first step skips dividing
-    # by g*h^delta, over a tenth of the kernel's time on the benchmark's lines
-    work = [(normal, a, b, None, None, 1)] if normal else []
-    starts: dict[tuple[int, int], list[tuple[int, list[int], list[int]]]] = {}
-    for j in [j for j, (x, y) in enumerate(zip(f[-1], g[-1])) if (x or y) and not (x and y)]:
-        a, b, factors[j] = [c[j] for c in f], [c[j] for c in g], 1
-        if not a[-1]:
-            a, b, factors[j] = b, a, (-1) ** (n * m)
-        while b and not b[-1]:
-            b.pop()
-            factors[j] *= a[-1]
-        if b:  # else a form vanishes at the node
-            starts.setdefault((len(a), len(b)), []).append((j, a[::-1], b[::-1]))
-    for nodes, a, b in (zip(*start) for start in starts.values()):
-        # g = h = 1 as lists, as b may already be constant
-        ones = [1] * len(nodes)
-        work.append((list(nodes), [list(c) for c in zip(*a)], [list(c) for c in zip(*b)],
-                     ones, ones, 1))
+    factors: dict[int, int] = {}  # node -> lc^k, where k > 0
+    normal: list[int] = []
+    groups = {(False, 0): normal}
+    for j, (x, y) in enumerate(zip(f[-1], g[-1])):
+        if x and y:
+            normal.append(j)
+        elif x or y:
+            second = f if y else g
+            k = next((k for k, c in enumerate(reversed(second)) if c[j]), None)
+            if k:  # k >= 1, or None where the second form vanishes at the node
+                groups.setdefault((bool(y), k), []).append(j)
+                factors[j] = (x or y) ** k
+    work = []
+    for (swap, k), nodes in groups.items():
+        if nodes:
+            first, second = (g, f) if swap else (f, g)
+            a, b = ([[c[j] for j in nodes] for c in rows] if len(nodes) < len(values)
+                    else rows for rows in (first[::-1], second[::-1][k:]))
+            # h = None stands for g = h = 1: a group's first step skips dividing by
+            # g*h^delta, over a tenth of the kernel's time on the benchmark's lines
+            work.append((nodes, a, b, None, (-1) ** (n * m) if swap else 1))
     while work:
-        nodes, a, b, lead, h, sign = work.pop()
+        nodes, a, b, h, sign = work.pop()
         while len(b) > 1:
             da, db = len(a) - 1, len(b) - 1
             if da < db:  # the swap's sign (-1)^(da*db) cancels the step's
@@ -172,17 +170,11 @@ def _line_resultants(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[int
                 r = ([[l * x - q * y for l, x, q, y in zip(b[0], xs, r[0], ys)]
                       for xs, ys in zip(r[1:], b[1:])]
                      + [[l * x for l, x in zip(b[0], xs)] for xs in r[db + 1:]])
-            if lead is not None:
-                divisors = ([x * y for x, y in zip(lead, h)] if delta == 1
-                            else [x * y ** delta for x, y in zip(lead, h)])
+            if h is not None:  # g = lc(a): a's lead is the last step's lc(b)
+                divisors = ([x * y for x, y in zip(a[0], h)] if delta == 1
+                            else [x * y ** delta for x, y in zip(a[0], h)])
                 r = [_exact_line(xs, divisors) for xs in r]
-            if delta == 1:
-                h = b[0]
-            elif lead is None:
-                h = [x ** delta for x in b[0]]
-            elif delta:  # at delta = 0, h = g^0 / h^-1 stays
-                h = _exact_line([x ** delta for x in b[0]], [y ** (delta - 1) for y in h])
-            a, b, lead = b, r, b[0]
+            a, b, h = b, r, _next_h(b[0], h, delta)
             if not all(b[0]):
                 # where a remainder vanishes the value is 0, and the nodes where
                 # it drops more than a degree go on as a group of their new pair
@@ -194,21 +186,29 @@ def _line_resultants(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[int
                 for top, keep in drops.items():
                     work.append(([nodes[i] for i in keep], [[c[i] for i in keep] for c in a],
                                  [[c[i] for i in keep] for c in b[top:]],
-                                 [lead[i] for i in keep], [h[i] for i in keep], sign))
+                                 [h[i] for i in keep], sign))
                 keep = [i for i, x in enumerate(b[0]) if x]
                 if not keep:
                     break
-                nodes, lead, h = ([c[i] for i in keep] for c in (nodes, lead, h))
+                nodes, h = ([c[i] for i in keep] for c in (nodes, h))
                 a, b = ([[c[i] for i in keep] for c in rows] for rows in (a, b))
         else:
-            da = len(a) - 1
-            last = b[0] if da == 1 else _exact_line([x ** da for x in b[0]],
-                                                    [y ** (da - 1) for y in h])
-            for j, value in zip(nodes, last):
+            for j, value in zip(nodes, _next_h(b[0], h, len(a) - 1)):
                 values[j] = sign * value
     for j, factor in factors.items():
         values[j] *= factor
     return values
+
+
+def _next_h(lead: list[int], h: list[int] | None, delta: int) -> list[int]:
+    """h' = g^delta / h^(delta-1) at each node of a group, where g = lead and
+    h = None stands for 1: a group's first step, the only one where delta
+    can be 0, as every later remainder is of lower degree than its divisor."""
+    if delta == 1:
+        return lead
+    if h is None:
+        return [x ** delta for x in lead]
+    return _exact_line([x ** delta for x in lead], [y ** (delta - 1) for y in h])
 
 
 def _exact_line(values: list[int], divisors: list[int]) -> list[int]:

@@ -15,17 +15,24 @@ an "unexpected character" error.  There is no implicit multiplication,
 so "2x1" is a syntax error.  Error offsets are 1-based byte positions.
 Exponents are capped at MAX_EXPONENT, and every product and power is
 refused before it is expanded when its total degree would exceed
-MAX_DEGREE or its predicted term count would exceed MAX_TERMS.  The
+MAX_DEGREE, its predicted term count would exceed MAX_TERMS, or its
+predicted coefficients could exceed 10^MAX_COEFF_DIGITS.  The term
 prediction is the smaller of two bounds: the number of ways to pick one
 term from each factor, and the number of monomials of that degree or
-less in the variables the factors use.
+less in the variables the factors use.  The coefficient prediction
+writes each factor as an integer polynomial P over the lcm D of its
+denominators: a product's numerators are at most the product of the
+factors' sums |P|_1 of absolute values, and its denominators divide the
+product of their D.  A literal of more than MAX_COEFF_DIGITS digits is
+refused before it is converted; one of at most that many converts under
+Python's default limit of 4300 digits on int-string conversion.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, log10
 
 from .polyring import (
     ONE_MONOMIAL,
@@ -41,6 +48,7 @@ from .polyring import (
 MAX_EXPONENT = 64
 MAX_DEGREE = MAX_EXPONENT
 MAX_TERMS = 4096
+MAX_COEFF_DIGITS = 4000
 
 
 class ParseError(ValueError):
@@ -68,6 +76,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         kind, value, start = match.lastgroup, match.group(), match.start() + 1
         if kind == "bad":
             raise ParseError(f"unexpected character {value!r}", start)
+        if kind == _NUM and len(value) > MAX_COEFF_DIGITS:
+            raise ParseError(f"coefficient overflow (> 10^{MAX_COEFF_DIGITS})", start)
         if kind is not None:
             tokens.append((kind, int(value) if kind == _NUM else value, start))
     tokens.append((_END, None, len(text) + 1))
@@ -78,12 +88,24 @@ def _degree(p: Polynomial) -> int:
     return total_degree(p) if p else 0
 
 
-def _check_budget(degree: int, picks: int, factors: tuple[Polynomial, ...],
+def _coefficient_digits(p: Polynomial) -> float:
+    """log10 of max(|P|_1, D) for p = P / D, D the lcm of p's denominators:
+    the sum of these over a product's factors bounds its coefficients'
+    numerators and denominators."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    norm = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
+    return log10(max(norm, den))
+
+
+def _check_budget(degree: int, picks: int, digits: float, factors: tuple[Polynomial, ...],
                   position: int) -> None:
     """Refuse an expansion of the given total degree whose factors allow
-    `picks` choices of one term each, before it is computed."""
+    `picks` choices of one term each and whose coefficients are at most
+    10^digits, before it is computed."""
     if degree > MAX_DEGREE:
         raise ParseError(f"degree overflow (> {MAX_DEGREE})", position)
+    if digits > MAX_COEFF_DIGITS:
+        raise ParseError(f"coefficient overflow (> 10^{MAX_COEFF_DIGITS})", position)
     used = len(frozenset().union(*map(variables, factors)))
     if min(picks, comb(used + degree, used)) > MAX_TERMS:
         raise ParseError(f"term count overflow (> {MAX_TERMS})", position)
@@ -130,6 +152,7 @@ class _Parser:
                 return value
             rhs = self.factor()
             _check_budget(_degree(value) + _degree(rhs), len(value.terms) * len(rhs.terms),
+                          _coefficient_digits(value) + _coefficient_digits(rhs),
                           (value, rhs), position)
             value = value * rhs
 
@@ -144,7 +167,8 @@ class _Parser:
             terms = len(value.terms)
             # a power picks a multiset of `exponent` terms of its base
             picks = comb(terms + exponent - 1, exponent) if terms else 1
-            _check_budget(_degree(value) * exponent, picks, (value,), position)
+            _check_budget(_degree(value) * exponent, picks,
+                          _coefficient_digits(value) * exponent, (value,), position)
             value = value ** exponent
         return value
 

@@ -6,14 +6,15 @@ The variable set is a fixed eight-slot registry: the source-plane pair
 how a monomial is stored (a sorted tuple of (variable, exponent) pairs
 with no zero exponents); every other module reads one with exponents()
 and builds one with monomial().  A polynomial maps monomials to nonzero
-rational coefficients, held as int or Fraction.  The constructor stores
-an int as it is, with no Fraction made on the way, and any other
-integral value as int; integer arithmetic keeps them int, and
-content_and_primitive divides an integer polynomial with //, so an
-integer polynomial (every primitive part, every dual) costs no Fraction
-object per term.  Values are immutable and every operation is a pure
-function, so everything here is safe to share across threads.  No float
-ever enters the arithmetic; the one float view is FloatForm, a
+rational coefficients, held as int or Fraction.  Every operation returns
+through the constructor, the one place that drops zero coefficients and
+stores an integral value as int (an int as it is, with no Fraction made
+on the way), so rational terms that sum or multiply to an integer hold
+an int too.  content_and_primitive divides an integer polynomial with
+//, so an integer polynomial (every primitive part, every dual) costs no
+Fraction object per term.  Values are immutable and every operation is a
+pure function, so everything here is safe to share across threads.  No
+float ever enters the arithmetic; the one float view is FloatForm, a
 polynomial compiled once for repeated evaluation in a pair of variables.
 """
 
@@ -132,21 +133,13 @@ class Polynomial:
             return NotImplemented
         result = dict(self._terms)
         for mono, coeff in rhs._terms.items():
-            total = result.get(mono, 0) + coeff
-            if total:
-                result[mono] = total
-            else:
-                result.pop(mono, None)
-        out = Polynomial()
-        out._terms = result
-        return out
+            result[mono] = result.get(mono, 0) + coeff
+        return Polynomial(result)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial()
-        out._terms = {mono: -coeff for mono, coeff in self._terms.items()}
-        return out
+        return Polynomial({mono: -coeff for mono, coeff in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         rhs = self._coerced(other)
@@ -164,20 +157,12 @@ class Polynomial:
         rhs = self._coerced(other)
         if rhs is None:
             return NotImplemented
-        if not self._terms or not rhs._terms:
-            return Polynomial()
         result: dict[Monomial, Coefficient] = {}
         for mono_a, coeff_a in self._terms.items():
             for mono_b, coeff_b in rhs._terms.items():
                 mono = mono_mul(mono_a, mono_b)
-                total = result.get(mono, 0) + coeff_a * coeff_b
-                if total:
-                    result[mono] = total
-                else:
-                    result.pop(mono, None)
-        out = Polynomial()
-        out._terms = result
-        return out
+                result[mono] = result.get(mono, 0) + coeff_a * coeff_b
+        return Polynomial(result)
 
     __rmul__ = __mul__
 

@@ -77,6 +77,18 @@ class TestDualCommand:
             "psi_power: 2\n")
         assert err == ""
 
+    def test_dual_beyond_int_string_limit(self, capsys):
+        # the input's coefficient has 3841 digits and parses; the dual's have
+        # over 4300, Python's default limit on printing an int
+        code, out, err = run(capsys, "dual", "x1^3 + x2^3 - (10^64)^60")
+        assert (code, err) == (0, "")
+        assert out.startswith("dual: 4" + "0" * 4400)
+        assert out.endswith("\nsource_degree: 3\ndual_degree: 6\npsi_power: 6\n")
+        # refused before the parser builds an oversized coefficient
+        code, out, err = run(capsys, "dual", "((((2^64)^64)^64)^64)^64")
+        assert (code, out) == (2, "")
+        assert err == "error: coefficient overflow (> 10^4000) at offset 15\n"
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("# circle\n\nx1^2 + x2^2 - 1\n"))
         code, out, _ = run(capsys, "dual", "-")

@@ -334,6 +334,32 @@ class TestNodeKernel:
         assert _line_resultants(f, g) == [
             determinant(integer_rows(constant_form(*fc), constant_form(*gc))) for fc, gc in nodes]
 
+    def test_line_kernel_every_start_rule(self):
+        # n*m = 15 is odd, so a swapped group's sign shows; every lead of a
+        # form with vanishing leading coefficients is at least 2 in absolute
+        # value, so its factor lc^k shows; the normal nodes are cut from the
+        # line, as every group's are
+        nodes = [
+            ([1, -2, 3, 2], [4, 0, -1, 2, 5, -3]),   # normal
+            ([-5, 1, 0, 7], [2, 3, -4, 1, 0, 1]),    # normal
+            ([2, 1, -1, 3], [1, -2, 3, 1, 4, 0]),    # G: k = 1
+            ([1, 0, 2, -2], [3, 1, -2, 5, 0, 0]),    # G: k = 2
+            ([4, -3, 1, 2], [-1, 2, 7, 0, 0, 0]),    # G: k = 3
+            ([1, 2, 3, -2], [6, 0, 0, 0, 0, 0]),     # G: k = 5, so b is constant
+            ([3, -1, 2, 0], [1, 4, -2, 0, 3, 2]),    # swapped, F: k = 1
+            ([-2, 5, 0, 0], [2, 0, 1, -3, 1, -3]),   # swapped, F: k = 2
+            ([7, 0, 0, 0], [1, 1, 2, -1, 3, 2]),     # swapped, F: k = 3, so b is constant
+            ([1, 2, 1, 0], [3, 1, 0, 2, 1, 0]),      # both leads zero
+            ([0, 0, 0, 0], [1, 2, 3, 4, 5, 6]),      # F vanishes
+            ([1, 1, 1, 1], [0, 0, 0, 0, 0, 0]),      # G vanishes
+        ]
+        f = [list(column) for column in zip(*(node[0] for node in nodes))]
+        g = [list(column) for column in zip(*(node[1] for node in nodes))]
+        expected = [determinant(integer_rows(constant_form(*fc), constant_form(*gc)))
+                    if any(fc) and any(gc) else 0 for fc, gc in nodes]
+        assert all(expected[:9]) and not any(expected[9:])
+        assert _line_resultants(f, g) == expected
+
     def test_form_vanishing_at_a_node(self):
         # F = x*x1 + x*x2 is identically zero at the node x = 0
         f = BinaryForm(1, (parse("x"), parse("x")))

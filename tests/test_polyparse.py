@@ -5,7 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import all_variable_polynomials
-from pardual.polyparse import MAX_DEGREE, MAX_EXPONENT, MAX_TERMS, ParseError, parse, print_poly
+from pardual.polyparse import (
+    MAX_COEFF_DIGITS,
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    MAX_TERMS,
+    ParseError,
+    parse,
+    print_poly,
+)
 from pardual.polyring import ONE_MONOMIAL, X1, X2, Polynomial, monomial
 
 
@@ -97,6 +105,33 @@ class TestParseErrors:
                 parse(text)
             assert "term count" in str(err.value)
             assert err.value.position == position
+
+    def test_coefficient_budget(self, monkeypatch):
+        assert parse("(10^64)^60") == 10 ** 3840
+        assert parse("9" * MAX_COEFF_DIGITS + "*x1") == (10 ** MAX_COEFF_DIGITS - 1) * parse("x1")
+        # refused before expanding: no product has an operand past the cap
+        multiply = Polynomial.__mul__
+
+        def small_products_only(a, b):
+            for operand in (a, b):
+                assert all(max(abs(c.numerator), c.denominator) < 10 ** MAX_COEFF_DIGITS
+                           for c in operand.terms.values()), "expanded past the budget"
+            return multiply(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", small_products_only)
+        # 25 characters that once expanded to a 2^30-bit integer
+        for text, position in (("((((2^64)^64)^64)^64)^64", 15), ("(10^64)^63", 9),
+                               ("(1/10^64)^63", 11), ("(10^64)^32*(10^64)^32", 11),
+                               ("9" * MAX_COEFF_DIGITS + "^2", MAX_COEFF_DIGITS + 2)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert "coefficient overflow" in str(err.value)
+            assert err.value.position == position
+        # a literal's digits are counted before it is converted to an int
+        with pytest.raises(ParseError) as err:
+            parse("x1 + " + "1" * (MAX_COEFF_DIGITS + 1))
+        assert "coefficient overflow" in str(err.value)
+        assert err.value.position == 6
 
     def test_negative_exponent(self):
         with pytest.raises(ParseError):

@@ -216,11 +216,15 @@ class TestContentPrimitive:
 
     @settings(max_examples=50)
     @given(nonzero_polynomials(max_terms=4, max_degree=3),
-           nonzero_polynomials(max_terms=4, max_degree=3), st.integers(0, 3))
-    def test_integer_polynomials_stay_int(self, p, q, e):
+           nonzero_polynomials(max_terms=4, max_degree=3), st.integers(0, 3), st.integers(2, 12))
+    def test_integer_polynomials_stay_int(self, p, q, e, k):
         content, primitive = content_and_primitive(p)
         assert type(content) is Fraction
-        for result in (p, p + q, p * q, p ** e, primitive):
+        # rational operands whose sum or product is integral: p in two parts,
+        # and p / k times (q * k / (k + 1)) times k + 1
+        part, rest = p * Fraction(1, k), p * Fraction(k - 1, k)
+        for result in (p, p + q, p * q, p ** e, primitive, part + rest, part * k, -part * k,
+                       part * (q * Fraction(k, k + 1)) * (k + 1)):
             assert all(type(c) is int for c in result.terms.values())
 
     @settings(max_examples=50)
