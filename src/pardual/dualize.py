@@ -106,24 +106,11 @@ class DualCurve(NamedTuple):
     psi_power_removed: int
 
 
-class _CurveSamplesFields(NamedTuple):
+class CurveSamples(NamedTuple):
+    """Points on f = 0 and the gradient (f1, f2) at each."""
+
     points: tuple[tuple[float, float], ...]
     gradients: tuple[tuple[float, float], ...]
-
-
-class CurveSamples(_CurveSamplesFields):
-    """Points on f = 0 and the gradient (f1, f2) at each; len() counts points."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @classmethod
-    def _make(cls, iterable) -> "CurveSamples":
-        # namedtuple's _make, and _replace through it, checks len() against
-        # the field count, and len() counts points here
-        return cls(*iterable)
 
 
 class VerifyReport(NamedTuple):
@@ -135,7 +122,8 @@ class VerifyReport(NamedTuple):
 def dual_curve(curve: ImplicitCurve) -> DualCurve:
     """Run the transform and return the canonical dual polynomial.
 
-    Steps: expand the cone L(x1, x2) = F(psi*x1, psi*x2, -(eta*x1 + xi*x2)),
+    Steps: take f's primitive part, with coprime integer coefficients;
+    expand the cone L(x1, x2) = F(psi*x1, psi*x2, -(eta*x1 + xi*x2)),
     F being f homogenized with x3, once into its coefficients in (x1, x2)
     under the image map eta -> 1-x, xi -> x, psi -> -y, and read both
     partial derivatives off them by Euler's rule (_partial_forms); take
@@ -155,8 +143,10 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
         raise DegreeError("dual_curve needs degree >= 2 (lines dualize to points)")
     if curve.n > MAX_SOURCE_DEGREE:
         raise DegreeError(f"dual_curve supports degree <= {MAX_SOURCE_DEGREE} (got {curve.n})")
+    # c*f has f's dual: Res(cF1, cF2) = c^(2(n-1)) Res(F1, F2), a factor normalizing drops
+    _, f = content_and_primitive(curve.f)
     x = Polynomial.variable(X)
-    r = resultant(*_partial_forms(curve.f, 1 - x, x, -Polynomial.variable(Y)))
+    r = resultant(*_partial_forms(f, 1 - x, x, -Polynomial.variable(Y)))
     if not r:
         raise DegenerateCurveError(
             "degenerate input: resultant vanished identically "

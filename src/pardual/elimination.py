@@ -1,6 +1,9 @@
 """Sylvester resultants of binary forms in (x1, x2) whose coefficients are
-polynomials in the gradient directions (eta, xi, psi) or in the image
-coordinates (x, y).
+integer polynomials in the gradient directions (eta, xi, psi) or in the
+image coordinates (x, y).  The subresultant PRS runs over an integral
+domain, so rational coefficients are the caller's to clear: a form's
+resultant changes only by a scalar when the form is scaled, and
+dualize.dual_curve takes the curve's primitive part before the lift.
 
 The resultant is the determinant of the classical Sylvester matrix: for
 forms F of degree n and G of degree m, m shifted rows of F's coefficients
@@ -31,9 +34,8 @@ remainder raises ArithmeticError.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import Iterator, NamedTuple, Sequence
 
 from .polyring import (
@@ -80,7 +82,9 @@ class BinaryForm(_BinaryFormFields):
 
 def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
     """Determinant of the Sylvester matrix; identically zero exactly when
-    the forms share a common nonconstant factor.
+    the forms share a common nonconstant factor.  Every coefficient of
+    both forms must be an integer polynomial; a rational one raises
+    ValueError.
 
     The grid values come one line of the last axis at a time (one node
     when no variable is used), and each line's resultants are taken
@@ -88,11 +92,11 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise ValueError("Sylvester matrix needs forms of degree at least 1")
+    if any(type(c) is not int for p in f.coeffs + g.coeffs for c in p.terms.values()):
+        raise ValueError("resultant needs forms with integer coefficients")
     used = sorted(frozenset().union(*map(variables, f.coeffs + g.coeffs)))
-    # Rational forms are scaled to integer ones: Res(cF, dG) = c^m d^n Res(F, G).
-    f_scale, g_scale = _denominator(f), _denominator(g)
-    coeffs = [{exponents(mono, used): (c * scale).numerator for mono, c in p.terms.items()}
-              for form, scale in ((f, f_scale), (g, g_scale)) for p in form.coeffs]
+    coeffs = [{exponents(mono, used): c for mono, c in p.terms.items()}
+              for p in f.coeffs + g.coeffs]
     bounds = [m * _max_degree(coeffs[:n + 1], axis) + n * _max_degree(coeffs[n + 1:], axis)
               for axis in range(len(used))]
     axes = [range(-(bound // 2), bound - bound // 2 + 1) for bound in bounds]
@@ -111,9 +115,8 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
                 for i, factor in factors]
         values += _line_resultants(line[:n + 1], line[n + 1:])
     _interpolate_grid(values, axes)
-    divisor = f_scale ** m * g_scale ** n
     return Polynomial({
-        monomial(used, exps): value if divisor == 1 else Fraction(value, divisor)
+        monomial(used, exps): value
         for exps, value in zip(product(*(range(len(axis)) for axis in axes)), values)
         if value
     })
@@ -223,10 +226,6 @@ def _exact_line(values: list[int], divisors: list[int]) -> list[int]:
 
 def _max_degree(coeffs: list[dict[tuple[int, ...], int]], axis: int) -> int:
     return max((exps[axis] for coeff in coeffs for exps in coeff), default=0)
-
-
-def _denominator(form: BinaryForm) -> int:
-    return lcm(*(c.denominator for p in form.coeffs for c in p.terms.values()))
 
 
 def _grid_lines(terms: dict[tuple[int, ...], int], axes: list[range]) -> Iterator[list[int]]:

@@ -10,12 +10,14 @@ rational coefficients, held as int or Fraction.  Every operation returns
 through the constructor, the one place that drops zero coefficients and
 stores an integral value as int (an int as it is, with no Fraction made
 on the way), so rational terms that sum or multiply to an integer hold
-an int too.  content_and_primitive divides an integer polynomial with
-//, so an integer polynomial (every primitive part, every dual) costs no
-Fraction object per term.  Values are immutable and every operation is a
-pure function, so everything here is safe to share across threads.  No
-float ever enters the arithmetic; the one float view is FloatForm, a
-polynomial compiled once for repeated evaluation in a pair of variables.
+an int too.  content_and_primitive takes each primitive coefficient as
+coeff * lcm(denominators) // gcd(numerators), an exact int for an int or
+a Fraction coefficient, so an integer polynomial (every primitive part,
+every dual) costs no Fraction object per term.  Values are immutable and
+every operation is a pure function, so everything here is safe to share
+across threads.  No float ever enters the arithmetic; the one float view
+is FloatForm, a polynomial compiled once for repeated evaluation in a
+pair of variables.
 """
 
 from __future__ import annotations
@@ -226,11 +228,8 @@ def content_and_primitive(p: Polynomial) -> tuple[Fraction, Polynomial]:
     denominators = lcm(*(coeff.denominator for coeff in p.terms.values()))
     if p.terms[max(p.terms, key=_mono_key)] < 0:
         numerators = -numerators
-    if denominators == 1:  # integral coefficients: exact // keeps them int
-        primitive = {mono: coeff // numerators for mono, coeff in p.terms.items()}
-    else:
-        scale = Fraction(denominators, numerators)
-        primitive = {mono: coeff * scale for mono, coeff in p.terms.items()}
+    # exact: an int for an int or a Fraction coefficient, with no Fraction made for an int
+    primitive = {mono: coeff * denominators // numerators for mono, coeff in p.terms.items()}
     return Fraction(numerators, denominators), Polynomial(primitive)
 
 

@@ -445,11 +445,10 @@ class TestResultant:
     @settings(max_examples=25)
     @given(st.integers(1, 2), st.integers(1, 2), st.data())
     def test_matches_leibniz_expansion(self, n, m, data):
-        # rational coefficients in every form variable exercise the scaling
+        # integer coefficient polynomials in every form variable
         coeff = polynomials(variables=(ETA, XI, PSI, X, Y), max_terms=3, max_degree=2)
-        rational = coeff.map(lambda p: p * Fraction(1, data.draw(st.integers(1, 4))))
-        f_coeffs = tuple(data.draw(rational) for _ in range(n + 1))
-        g_coeffs = tuple(data.draw(rational) for _ in range(m + 1))
+        f_coeffs = tuple(data.draw(coeff) for _ in range(n + 1))
+        g_coeffs = tuple(data.draw(coeff) for _ in range(m + 1))
         assume(any(f_coeffs) and any(g_coeffs))
         f, g = BinaryForm(n, f_coeffs), BinaryForm(m, g_coeffs)
         assert resultant(f, g) == leibniz(sylvester_matrix(f, g))
@@ -458,17 +457,22 @@ class TestResultant:
     @given(st.integers(1, 2), st.integers(1, 2), st.data())
     def test_shared_coefficient_parts(self, n, m, data):
         # coefficients that are integer multiples (negative, zero, repeated)
-        # of a few shared rational polynomials: each shared part's grid line is
+        # of a few shared integer polynomials: each shared part's grid line is
         # evaluated once and scaled by each coefficient's integer factor
         coeff = polynomials(variables=(ETA, X, Y), max_terms=3, max_degree=2)
-        rational = coeff.map(lambda p: p * Fraction(1, data.draw(st.integers(1, 4))))
-        shared = data.draw(st.lists(rational, min_size=1, max_size=3))
+        shared = data.draw(st.lists(coeff, min_size=1, max_size=3))
         multiple = st.builds(lambda p, k: k * p, st.sampled_from(shared), st.integers(-3, 3))
         f_coeffs = tuple(data.draw(multiple) for _ in range(n + 1))
         g_coeffs = tuple(data.draw(multiple) for _ in range(m + 1))
         assume(any(f_coeffs) and any(g_coeffs))
         f, g = BinaryForm(n, f_coeffs), BinaryForm(m, g_coeffs)
         assert resultant(f, g) == leibniz(sylvester_matrix(f, g))
+
+    def test_rational_coefficient_rejected(self):
+        # the PRS runs over the integers: a caller clears denominators first
+        half_x = Polynomial({monomial((X,), (1,)): Fraction(1, 2)})
+        with pytest.raises(ValueError, match="integer coefficients"):
+            resultant(BinaryForm(1, (half_x, parse("1"))), as_binary_form(parse("x1 + x2")))
 
     def test_dual_evaluates_each_cone_coefficient_once(self, monkeypatch):
         # the partial forms' 2n coefficients are multiples of the cone's n + 1

@@ -92,19 +92,19 @@ def test_record_constructors_and_defaults():
     form = BinaryForm(degree=1, coeffs=(parse("x"), parse("y")))
     assert form.coeffs[1] == parse("y")
     samples = CurveSamples(points=((0.0, 1.0), (1.0, 0.0)), gradients=((0.0, 2.0), (2.0, 0.0)))
-    assert len(samples) == 2
-    assert not CurveSamples((), ())
+    assert len(samples.points) == 2
+    assert not CurveSamples((), ()).points
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3])
 def test_curve_samples_make_and_replace(count):
-    # len() counts points, not fields, for any number of points
+    # a plain record of two fields, for any number of points
     samples = CurveSamples(((0.0, 1.0),) * count, ((0.0, 2.0),) * count)
     assert CurveSamples._make(samples) == samples
     emptied = samples._replace(points=())
     assert type(emptied) is CurveSamples
     assert emptied == ((), samples.gradients)
-    assert len(emptied) == 0 and not emptied
+    assert len(emptied.points) == 0 and not emptied.points
     with pytest.raises(TypeError):
         CurveSamples._make([()])
 
