@@ -37,8 +37,8 @@ from .polyring import (
 )
 
 F_TOL_REL = 1e-12          # on-curve residual, relative to local term scale
-SINGULAR_TOL = 1e-9        # minimum gradient norm for a usable sample
-DENOM_TOL = 1e-9           # slope-1 tangents map to ideal points
+SINGULAR_TOL = 1e-9        # minimum gradient norm for a usable sample, relative to _gradient_scale
+DENOM_TOL = 1e-9           # slope-1 tangents map to ideal points, relative to _gradient_scale
 RESIDUAL_THRESHOLD = 1e-6  # verification pass mark
 MAX_SOURCE_DEGREE = 12     # x1^12 + x2^12 - 1 takes ~35 s on 2 cores; each degree more ~2.2x
 
@@ -264,6 +264,14 @@ def _on_curve(form: FloatForm, x1v: float, x2v: float, value: float) -> bool:
     return abs(value) <= F_TOL_REL * (1.0 + form.max_abs_term(x1v, x2v))
 
 
+def _gradient_scale(f1: FloatForm, f2: FloatForm, x1v: float, x2v: float) -> float:
+    """The larger of the partials' largest |term| at (x1v, x2v): the scale
+    of the gradient tests, so that they do not change when f is scaled.  It
+    is 0.0 where every term of both partials vanishes, and a test of the
+    form `|g| <= TOL * scale` then refuses the point instead of dividing."""
+    return max(f1.max_abs_term(x1v, x2v), f2.max_abs_term(x1v, x2v))
+
+
 def _image(forms: tuple[FloatForm, FloatForm, FloatForm],
            point: tuple[float, float]) -> PlanePoint:
     f, f1, f2 = forms
@@ -273,7 +281,7 @@ def _image(forms: tuple[FloatForm, FloatForm, FloatForm],
         raise ValueError(f"point {point} is not on the curve (|f| = {abs(value):.3g})")
     g1, g2 = f1(x1v, x2v), f2(x1v, x2v)
     denominator = g1 + g2
-    if abs(denominator) < DENOM_TOL:
+    if abs(denominator) <= DENOM_TOL * _gradient_scale(f1, f2, x1v, x2v):
         raise IdealPointError("slope-1 tangent maps to ideal point")
     return PlanePoint(g2 / denominator, (x1v * g1 + x2v * g2) / denominator)
 
@@ -358,7 +366,8 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
 
     Compiles f and its partials, scans horizontal and vertical grid lines
     (at least 4 * target_count lines in total), brackets sign changes,
-    bisects and Newton-polishes each root, and drops near-singular points.
+    bisects and Newton-polishes each root, and drops near-singular points
+    (gradient norm at most SINGULAR_TOL times _gradient_scale).
     Returns up to target_count points, evenly thinned in scan order.  A
     root, f value or gradient that is not finite raises OverflowError.
     """
@@ -380,7 +389,7 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
             return
         g1, g2 = fx1(x1v, x2v), fx2(x1v, x2v)
         _require_finite("(f1, f2)", g1, g2)
-        if math.hypot(g1, g2) < SINGULAR_TOL:
+        if math.hypot(g1, g2) <= SINGULAR_TOL * _gradient_scale(fx1, fx2, x1v, x2v):
             return
         points.append((x1v, x2v))
         gradients.append((g1, g2))

@@ -7,15 +7,18 @@ column also becomes an integer sign mask (bit j set when value j is
 negative), read from the sign bits of the column packed as IEEE doubles
 with no Python step per value, and bit operations on two adjacent masks
 select the cells whose corners differ in sign: only those few are
-marched.  A crossed cell joins its edge crossings in the fixed order
-bottom, left, right, top; only a saddle, with all four edges crossed,
-samples its center to pick the pairs.  Scenes are ordered layers of
-segments with style tokens and x offsets; two_panel_scene places source
-and dual side by side, and render_svg draws the source panel's axes
-first and emits byte-stable SVG 1.1, y flipped to mathematical
-orientation and all coordinates printed to three decimals; segments
-whose ends print alike are joined into chains, one subpath each, so a
-traced curve is drawn as one M.
+marched.  The first bytes packed for the mask also say which columns may
+hold an inf or a NaN, and only those are checked value by value.  A
+crossed cell joins its edge crossings in the fixed order bottom, left,
+right, top; each crossing is interpolated once and shared, as one
+object, by the two cells of its edge.  Only a saddle, with all four
+edges crossed, samples its center to pick the pairs.  Scenes are ordered
+layers of segments with style tokens and x offsets; two_panel_scene
+places source and dual side by side, and render_svg draws the source
+panel's axes first and emits byte-stable SVG 1.1, y flipped to
+mathematical orientation and all coordinates printed to three decimals,
+each vertex object of a layer once; segments whose ends print alike are
+joined into chains, one subpath each, so a traced curve is drawn as one M.
 """
 
 from __future__ import annotations
@@ -119,8 +122,8 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     at each node; the tests bound each value's distance from the exact
     value of p at the float node in units of form.max_abs_term.  The cells
     are marched between two adjacent columns, so the full grid of values is
-    never held.  A column with a value that is not finite, hence a sum that
-    is not, raises OverflowError.
+    never held.  A column with a value that is not finite raises
+    OverflowError.
 
     Each column is also reduced to a sign mask, an int whose bit j is set
     when value j < 0.  The mask is read in C builtins, with no Python step
@@ -135,6 +138,11 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     both addends are -0.0, so no partial sum is, whatever the sign of the
     products added to it (-3.0 * 0.0 is -0.0, 0.0 + -0.0 is 0.0).
 
+    The same first bytes screen the column for finiteness: an inf or a
+    NaN has every exponent bit set, so its first byte is 0x7f or 0xff.
+    Only a column with such a byte, which a finite value of magnitude
+    2**1009 or more also has, is checked with math.isfinite value by value.
+
     A cell is crossed when its four corners do not all share one sign;
     for adjacent column masks L and R that is bit j of (L ^ R) |
     (L ^ L >> 1) | (R ^ R >> 1), cut to the grid's cells.  Only those
@@ -142,7 +150,13 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     order of a full scan of every cell.
 
     A crossed cell collects the crossing points of its edges whose two
-    corners differ in sign, in the order bottom, left, right, top.  Two
+    corners differ in sign, in the order bottom, left, right, top.  Each
+    crossing is interpolated once, by the first cell of its edge to be
+    marched, and the other cell reuses that point object: a bottom
+    crossing is the top crossing of cell j - 1, marched just before, and
+    a left one is the right crossing of cell j in the last column pair.
+    Both cells would interpolate it from the same two corner values in
+    the same argument order, so sharing moves no bit.  Two
     crossings make one segment, joined in that order.  Four make a saddle:
     with bl < 0 (bl and tr negative) a negative center gives the segments
     (left, top), (bottom, right) and any other center (left, bottom),
@@ -179,9 +193,10 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
             (a, ya), (b, yb), (c, yc) = terms[k:k + 3]
             values = [v + a * pa + b * pb + c * pc
                       for v, pa, pb, pc in zip(values, ya, yb, yc)]
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        heads = pack(*values)[-8::-8]
+        if (b"\x7f" in heads or b"\xff" in heads) and not all(map(math.isfinite, values)):
             raise OverflowError(f"grid column at x = {xv!r} is not finite")
-        return values, int(pack(*values)[-8::-8].translate(_SIGN_DIGITS), 2)
+        return values, int(heads.translate(_SIGN_DIGITS), 2)
 
     def interp(x0, y0, v0, x1, y1, v1) -> Point:
         t = v0 / (v0 - v1)
@@ -189,33 +204,39 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
 
     segments: list[Segment] = []
     right, right_mask = column(xs[0])
+    rights: dict[int, Point] = {}
     for i in range(grid):
         left, left_mask = right, right_mask
         right, right_mask = column(xs[i + 1])
+        lefts, rights = rights, {}
+        x0, x1 = xs[i], xs[i + 1]
         crossed = ((left_mask ^ right_mask) | (left_mask ^ (left_mask >> 1))
                    | (right_mask ^ (right_mask >> 1))) & cells
         while crossed:
             low = crossed & -crossed
             crossed ^= low
             j = low.bit_length() - 1
+            y0, y1 = ys[j], ys[j + 1]
             bl = left[j]
             br = right[j]
             tr = right[j + 1]
             tl = left[j + 1]
             crossings = []
-            if (bl < 0) != (br < 0):
-                crossings.append(interp(xs[i], ys[j], bl, xs[i + 1], ys[j], br))
-            if (bl < 0) != (tl < 0):
-                crossings.append(interp(xs[i], ys[j], bl, xs[i], ys[j + 1], tl))
+            if (bl < 0) != (br < 0):  # then cell j - 1, marched just before, set on_top
+                crossings.append(on_top if j else interp(x0, y0, bl, x1, y0, br))
+            if (bl < 0) != (tl < 0):  # then cell j of the last column pair set lefts[j]
+                crossings.append(lefts[j] if i else interp(x0, y0, bl, x0, y1, tl))
             if (br < 0) != (tr < 0):
-                crossings.append(interp(xs[i + 1], ys[j], br, xs[i + 1], ys[j + 1], tr))
+                rights[j] = on_right = interp(x1, y0, br, x1, y1, tr)
+                crossings.append(on_right)
             if (tl < 0) != (tr < 0):
-                crossings.append(interp(xs[i], ys[j + 1], tl, xs[i + 1], ys[j + 1], tr))
+                on_top = interp(x0, y1, tl, x1, y1, tr)
+                crossings.append(on_top)
             if len(crossings) == 2:
                 segments.append((crossings[0], crossings[1]))
                 continue
             on_bottom, on_left, on_right, on_top = crossings  # a saddle
-            center = form(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+            center = form(0.5 * (x0 + x1), 0.5 * (y0 + y1))
             if bl < 0:
                 segments += ([(on_left, on_top), (on_bottom, on_right)] if center < 0
                              else [(on_left, on_bottom), (on_right, on_top)])
@@ -309,10 +330,6 @@ _STYLESHEET = (
 )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.3f}"
-
-
 def _chains(ends: list[bytes]) -> Iterator[list[int]]:
     """Split segments into chains, given each segment's two printed ends
     (ends[2k] and ends[2k + 1] for segment k).  A chain passes through
@@ -362,18 +379,34 @@ def render_svg(scene: PlaneScene) -> str:
     an open traced curve is one M however its segments are ordered.
     Points that print differently, however close, never join.  Decoding
     the path gives back every segment of the layer as printed, some drawn
-    end to start.  The document is written into one byte buffer and
-    decoded once.
+    end to start.  Each vertex object of a layer is printed once, both
+    coordinates by one b"%.3f %.3f" (the digits of f"{v:.3f}", -0.000
+    included); trace_implicit shares each crossing between its two cells,
+    so that halves the printing of a traced curve.  The document is
+    written into one byte buffer and decoded once.
     """
     vp = scene.viewport
     sx = vp.width_px / (vp.xmax - vp.xmin)
     sy = vp.height_px / (vp.ymax - vp.ymin)
 
-    def to_px(point: Point, dx: float) -> bytes:
-        x, y = point
-        if dx:  # only then: -0.0 + 0.0 is 0.0, which can print differently
-            x += dx
-        return f"{_fmt((x - vp.xmin) * sx)} {_fmt((vp.ymax - y) * sy)}".encode()
+    def printed_ends(layer: _Layer) -> list[bytes]:
+        """Each segment end of the layer as printed, each vertex object
+        printed once: keyed by identity, not value, as -0.0 == 0.0 but the
+        two print apart; the layer's data keeps every key alive."""
+        dx = layer.dx
+        texts: dict[int, bytes] = {}
+        ends = []
+        for segment in layer.data:
+            for point in segment:
+                key = id(point)
+                text = texts.get(key)
+                if text is None:
+                    x, y = point
+                    if dx:  # only then: -0.0 + 0.0 is 0.0, which can print differently
+                        x += dx
+                    text = texts[key] = b"%.3f %.3f" % ((x - vp.xmin) * sx, (vp.ymax - y) * sy)
+                ends.append(text)
+        return ends
 
     out = bytearray(
         '<?xml version="1.0" encoding="UTF-8" standalone="no"?>\n'
@@ -389,7 +422,7 @@ def render_svg(scene: PlaneScene) -> str:
     if vp.ymin <= 0 <= vp.ymax:
         axes.append(((vp.xmin, 0.0), (vp.xmax, 0.0)))
     for layer in ([_Layer(axes, "axis")] if axes else []) + scene.layers:
-        ends = [to_px(point, layer.dx) for segment in layer.data for point in segment]
+        ends = printed_ends(layer)
         out += f'<path class="{layer.style}" d="'.encode()
         for n, chain in enumerate(_chains(ends)):
             out += b" M " if n else b"M "

@@ -263,7 +263,7 @@ class FloatForm:
     max_abs_term, and not bit for bit.
     """
 
-    __slots__ = ("axes", "degree", "terms")
+    __slots__ = ("axes", "degree", "terms", "_lines")
 
     def __init__(self, p: Polynomial, ax: VarId, ay: VarId):
         if not ax < ay:
@@ -275,6 +275,12 @@ class FloatForm:
         self.terms = tuple((float(coeff), *exponents(mono, self.axes))
                            for mono, coeff in sorted_terms(p))
         self.degree = max((a + b for _, a, b in self.terms), default=0)
+        # line's terms along ax and along ay, as (c, a, b) with a the exponent
+        # of the line's axis: a descending, and canonical within each a.  Each
+        # coefficient's terms keep their canonical order, which within one b
+        # is a descending (graded-lex), and equal powers of value are adjacent
+        self._lines = tuple(tuple(sorted(terms, key=lambda term: -term[1]))
+                            for terms in (self.terms, [(c, b, a) for c, a, b in self.terms]))
 
     def __call__(self, x: float, y: float) -> float:
         total = 0.0
@@ -294,13 +300,15 @@ class FloatForm:
         """Dense coefficients in the other axis, ascending, of p restricted
         to var = value; degree + 1 of them.  Coefficient e sums c * value**a
         over the terms whose other exponent is e, in canonical order from
-        0.0, where a is the term's exponent of var."""
+        0.0, where a is the term's exponent of var.  The terms come grouped
+        by a, so each distinct value**a is taken once per call, with **."""
         if var not in self.axes:
             raise ValueError(f"variable {VAR_NAMES[var]} is not an axis of this form")
-        swap = var == self.axes[1]
         coeffs = [0.0] * (self.degree + 1)
-        for c, a, b in self.terms:
-            if swap:
-                a, b = b, a
-            coeffs[b] += c * value ** a
+        last = -1
+        for c, a, b in self._lines[var == self.axes[1]]:
+            if a != last:
+                power = value ** a
+                last = a
+            coeffs[b] += c * power
         return coeffs

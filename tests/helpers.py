@@ -1,6 +1,9 @@
 """Shared test utilities: hypothesis strategies for random polynomials, and
 the reference computations the library is checked against."""
 
+import math
+import random
+import struct
 from fractions import Fraction
 from functools import cache
 
@@ -10,11 +13,15 @@ from pardual.elimination import BinaryForm
 from pardual.polyring import (
     NUM_VARS,
     VAR_NAMES,
+    X,
     X1,
     X2,
+    Y,
+    FloatForm,
     Polynomial,
     exponents,
     monomial,
+    partial_derivative,
     sorted_terms,
     total_degree,
     variables,
@@ -194,3 +201,170 @@ def conic_determinant(m):
     return (m.a1 * (m.a2 * m.a3 - m.a6 ** 2)
             - m.a4 * (m.a4 * m.a3 - m.a6 * m.a5)
             + m.a5 * (m.a4 * m.a6 - m.a2 * m.a5))
+
+
+# -- the whole-curve certificate of a dual ------------------------------------
+
+CERTIFICATE_PRIME = 2 ** 61 - 1
+
+
+def _mod_prime(c):
+    return c.numerator * pow(c.denominator, -1, CERTIFICATE_PRIME) % CERTIFICATE_PRIME
+
+
+def _restrict(p, fixed, t, free):
+    """p at fixed = t, mod the prime: its coefficients in free, ascending,
+    one per exponent up to p's degree in free (the last may be zero)."""
+    coeffs = [0] * (max((exponents(mono, (free,))[0] for mono in p.terms), default=0) + 1)
+    for mono, c in p.terms.items():
+        a, b = exponents(mono, (fixed, free))
+        coeffs[b] = (coeffs[b] + _mod_prime(c) * pow(t, a, CERTIFICATE_PRIME)) % CERTIFICATE_PRIME
+    return coeffs
+
+
+def _remainder(a, m):
+    """a modulo the monic m, as len(m) - 1 coefficients, ascending."""
+    d = len(m) - 1
+    a = list(a) + [0] * max(0, d - len(a))
+    for i in range(len(a) - 1, d - 1, -1):
+        q = a[i]
+        if q:
+            for k in range(d + 1):
+                a[i - d + k] = (a[i - d + k] - q * m[k]) % CERTIFICATE_PRIME
+    return a[:d]
+
+
+def _times(a, b, m):
+    """a * b modulo the monic m."""
+    product = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                product[i + j] += u * v
+    return _remainder(product, m)
+
+
+def image_certificate(f, g, lines=3, seed=2004):
+    """Whether f divides N = sum c_ab * A^a * B^b * C^(D-a-b) over the terms
+    c_ab * x^a * y^b of g, D = deg g, where A = f2, B = x1*f1 + x2*f2 and
+    C = f1 + f2 make f's image map (x, y) = (A/C, B/C) at spacing 1.  For
+    irreducible f that holds exactly when the true dual divides g, and it
+    holds for any g if N is identically zero.
+
+    It is tested on seeded lines x1 = t (x2 = t if f has no x2), t in
+    GF(p) with p = 2^61 - 1, skipping a t where f's leading coefficient
+    vanishes: N must reduce to 0 modulo the monic f(t, x2).  A g that
+    fails passes a line only with probability about deg N / p.  Its
+    univariate arithmetic is its own; nothing here comes from the
+    resultant or its interpolation."""
+    f1, f2 = partial_derivative(f, X1), partial_derivative(f, X2)
+    images = (f2, Polynomial.variable(X1) * f1 + Polynomial.variable(X2) * f2, f1 + f2)
+    fixed, free = (X1, X2) if X2 in variables(f) else (X2, X1)
+    degree = total_degree(g)
+    terms = [(_mod_prime(c), *exponents(mono, (X, Y))) for mono, c in g.terms.items()]
+    rng = random.Random(seed)
+    checked = 0
+    while checked < lines:
+        t = rng.randrange(CERTIFICATE_PRIME)
+        m = _restrict(f, fixed, t, free)
+        if not m[-1]:
+            continue
+        inverse = pow(m[-1], -1, CERTIFICATE_PRIME)
+        m = [c * inverse % CERTIFICATE_PRIME for c in m]
+        one = _remainder([1], m)
+        powers = []  # powers[k][e] = (A, B or C)^e modulo m, e = 0..D
+        for image in images:
+            base = _remainder(_restrict(image, fixed, t, free), m)
+            row = [one]
+            for _ in range(degree):
+                row.append(_times(row[-1], base, m))
+            powers.append(row)
+        total = [0] * len(one)
+        for c, a, b in terms:
+            term = _times(_times(powers[0][a], powers[1][b], m), powers[2][degree - a - b], m)
+            total = [(u + c * v) % CERTIFICATE_PRIME for u, v in zip(total, term)]
+        if any(total):
+            return False
+        checked += 1
+    return True
+
+
+# -- marching squares, one cell at a time -------------------------------------
+
+def cellwise_trace(p, ax, ay, vp, grid):
+    """plot.trace_implicit as it was before crossings were shared between
+    cells, kept as its reference: the same columns and sign masks, but
+    every marched cell interpolates each of its crossed edges itself, and
+    a column's finiteness is checked through its sum."""
+    form = FloatForm(p, ax, ay)
+    xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]
+    ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
+    y_powers = [[yv ** b for yv in ys] for b in range(1, form.degree + 1)]
+    cells = (1 << grid) - 1
+    pack = struct.Struct(f">{grid + 1}d").pack
+    sign_digits = b"0" * 128 + b"1" * 128
+
+    def column(xv):
+        c0, *coeffs = form.line(ax, xv)
+        c0 = c0 or 0.0
+        terms = [(c, powers) for c, powers in zip(coeffs, y_powers) if c]
+        head = len(terms) % 3 or 3
+        if not terms:
+            values = [c0] * len(ys)
+        elif head == 1:
+            [(a, ya)] = terms[:1]
+            values = [c0 + a * pa for pa in ya]
+        elif head == 2:
+            (a, ya), (b, yb) = terms[:2]
+            values = [c0 + a * pa + b * pb for pa, pb in zip(ya, yb)]
+        else:
+            (a, ya), (b, yb), (c, yc) = terms[:3]
+            values = [c0 + a * pa + b * pb + c * pc for pa, pb, pc in zip(ya, yb, yc)]
+        for k in range(head, len(terms), 3):
+            (a, ya), (b, yb), (c, yc) = terms[k:k + 3]
+            values = [v + a * pa + b * pb + c * pc
+                      for v, pa, pb, pc in zip(values, ya, yb, yc)]
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise OverflowError(f"grid column at x = {xv!r} is not finite")
+        return values, int(pack(*values)[-8::-8].translate(sign_digits), 2)
+
+    def interp(x0, y0, v0, x1, y1, v1):
+        t = v0 / (v0 - v1)
+        return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+
+    segments = []
+    right, right_mask = column(xs[0])
+    for i in range(grid):
+        left, left_mask = right, right_mask
+        right, right_mask = column(xs[i + 1])
+        crossed = ((left_mask ^ right_mask) | (left_mask ^ (left_mask >> 1))
+                   | (right_mask ^ (right_mask >> 1))) & cells
+        while crossed:
+            low = crossed & -crossed
+            crossed ^= low
+            j = low.bit_length() - 1
+            bl = left[j]
+            br = right[j]
+            tr = right[j + 1]
+            tl = left[j + 1]
+            crossings = []
+            if (bl < 0) != (br < 0):
+                crossings.append(interp(xs[i], ys[j], bl, xs[i + 1], ys[j], br))
+            if (bl < 0) != (tl < 0):
+                crossings.append(interp(xs[i], ys[j], bl, xs[i], ys[j + 1], tl))
+            if (br < 0) != (tr < 0):
+                crossings.append(interp(xs[i + 1], ys[j], br, xs[i + 1], ys[j + 1], tr))
+            if (tl < 0) != (tr < 0):
+                crossings.append(interp(xs[i], ys[j + 1], tl, xs[i + 1], ys[j + 1], tr))
+            if len(crossings) == 2:
+                segments.append((crossings[0], crossings[1]))
+                continue
+            on_bottom, on_left, on_right, on_top = crossings
+            center = form(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+            if bl < 0:
+                segments += ([(on_left, on_top), (on_bottom, on_right)] if center < 0
+                             else [(on_left, on_bottom), (on_right, on_top)])
+            else:
+                segments += ([(on_bottom, on_left), (on_right, on_top)] if center < 0
+                             else [(on_bottom, on_right), (on_top, on_left)])
+    return segments

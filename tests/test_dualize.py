@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -12,6 +12,7 @@ from helpers import (
     conic_determinant,
     evaluate_float,
     homogenize,
+    image_certificate,
     monomials,
     substitute,
 )
@@ -250,6 +251,51 @@ class TestPartialForms:
         self.check(parse(source), binding)
 
 
+@st.composite
+def dense_curves(draw):
+    """Every monomial of degree <= n, n in 2..4, with a nonzero coefficient
+    in [-9, 9]."""
+    degree = draw(st.integers(2, 4))
+    coeffs = st.integers(-9, 9).filter(bool)
+    return Polynomial({monomial((X1, X2), (a, total - a)): draw(coeffs)
+                       for total in range(degree + 1) for a in range(total + 1)})
+
+
+XY = Polynomial.variable(X) * Polynomial.variable(Y)
+
+
+class TestImageCertificate:
+    """f divides g's image sum on seeded lines mod 2^61 - 1 (helpers), and
+    g + x*y, the negative control, fails on every case."""
+
+    @pytest.mark.parametrize("source", [CIRCLE_SOURCE, FIG8_SOURCE, FIG9_SOURCE, SEC32_SOURCE,
+                                        "x1^2 + x2^2 + 1", "(x1-10)^2 + x2^2 - 1",
+                                        "x1^4 + x2^4 + 1"])
+    def test_fixed_curves(self, source):
+        # x1^2 + x2^2 + 1 has no real point, so verify has nothing to sample
+        f = parse(source)
+        g = dual_curve(ImplicitCurve(f)).g
+        assert image_certificate(f, g)
+        assert not image_certificate(f, g + XY)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dense_curves())
+    def test_dense_curves(self, f):
+        try:
+            g = dual_curve(ImplicitCurve(f)).g
+        except DegenerateCurveError:
+            assume(False)
+        assert image_certificate(f, g)
+        assert not image_certificate(f, g + XY)
+
+    def test_curve_without_x2(self):
+        # the lines x1 = +-sqrt(2) map to the points (0, +-sqrt(2)): on the
+        # lines x2 = t, N = 4*x1^2*(x1^2 - 2) for y^2 - 2, and not for y^2 - 3
+        f = parse("x1^2 - 2")
+        assert image_certificate(f, parse("y^2 - 2"))
+        assert not image_certificate(f, parse("y^2 - 3"))
+
+
 class TestConicDual:
     def test_circle_closed_form(self):
         dual = conic_dual_matrix(ConicMatrix.of(1, 1, -1, 0, 0, 0))
@@ -319,6 +365,12 @@ class TestPointImage:
         s = math.sqrt(0.5)
         with pytest.raises(IdealPointError):
             point_image_on_dual(curve(CIRCLE_SOURCE), (-s, s))
+
+    def test_node_is_ideal(self):
+        # every term of both partials vanishes at the node, so the relative
+        # slope-1 test refuses it (0 <= DENOM_TOL * 0) instead of dividing
+        with pytest.raises(IdealPointError):
+            point_image_on_dual(curve("x1^2 - x2^2"), (0.0, 0.0))
 
 
 class TestLineDualPoint:
@@ -446,6 +498,17 @@ class TestVerifyDuality:
         dual = DualCurve(Polynomial.variable(X) ** 100 * Polynomial.variable(Y) ** 100, 2, 0)
         with pytest.raises(OverflowError, match="residual"):
             verify_duality(curve("x1^2 - x2"), dual, samples)
+
+    @pytest.mark.parametrize("scale", ["1", "1/100000000", "1/10000000000",
+                                       "1/1000000000000000000", "10000000000"])
+    def test_scaled_circle_tests_every_sample(self, scale):
+        # The gradient tests are relative to the partials' term scale, so
+        # every multiple of the circle keeps all 100 samples.  Absolute
+        # tests skipped 4 of them at 1/10^8 and refused all at 1/10^10.
+        c = curve(" + ".join(f"{scale}*{term}" for term in ("x1^2", "x2^2", "(-1)")))
+        report = verify_duality(c, dual_curve(c), sample_curve(c, WINDOW, 100))
+        assert (report.tested, report.skipped) == (100, 0)
+        assert report.max_residual < 1e-12
 
     def test_no_samples(self):
         c = curve("x1^2 + x2^2 + 1")

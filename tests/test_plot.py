@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import evaluate_float, nonzero_polynomials, polynomials
+from helpers import cellwise_trace, evaluate_float, nonzero_polynomials, polynomials
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -168,6 +168,31 @@ def trace_cases(draw):
     return p, axes, vp, grid
 
 
+@st.composite
+def dyadic_trace_cases(draw):
+    """(p, axes, viewport, grid): a small-integer conic or cubic on a window
+    whose nodes are exact multiples of a power of two about the origin, so
+    that node values are often exactly 0.0.  The curve is a sparse random
+    one, or a product of two or three lines with small integer
+    coefficients, whose crossings off the grid lines make saddle cells."""
+    axes = draw(st.sampled_from([(X1, X2), (X, Y)]))
+    grid = draw(st.integers(16, 64))
+    step = 2.0 ** -draw(st.integers(0, 3))
+    i0, j0 = (draw(st.integers(-grid, 0)) for _ in range(2))
+    vp = Viewport(i0 * step, (i0 + grid) * step, j0 * step, (j0 + grid) * step)
+    if draw(st.booleans()):
+        p = draw(polynomials(variables=axes, max_terms=6, max_degree=draw(st.integers(2, 3)),
+                             min_coeff=-3, max_coeff=3))
+    else:
+        u, v = (Polynomial.variable(a) for a in axes)
+        p = Polynomial.constant(1)
+        for _ in range(draw(st.integers(2, 3))):
+            a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+            p = p * (a * u + b * v + c)
+    assume(variables(p))
+    return p, axes, vp, grid
+
+
 # The windows are off the dyadic grid so that powers of the grid
 # coordinates round; the nodal cubic meets a saddle cell.
 REFERENCE_CASES = [
@@ -252,6 +277,25 @@ class TestTraceImplicit:
         # scan's segments, in its order, bit for bit.
         p, axes, vp, grid = case
         assert trace_implicit(p, vp, grid) == reference_trace(p, *axes, vp, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(dyadic_trace_cases(), trace_cases()))
+    def test_shared_crossings_match_cellwise(self, case):
+        # Sharing each edge's crossing between its two cells gives the
+        # segments of interpolating it once per cell, bit for bit.  Each
+        # crossing is one object: one on an edge inside the grid serves
+        # both cells of that edge, so a point strictly inside the outer
+        # grid lines (not the window's bounds, which the top and right
+        # nodes may miss by a rounding) ends exactly two segments.
+        p, axes, vp, grid = case
+        segments = trace_implicit(p, vp, grid)
+        assert segments == cellwise_trace(p, *axes, vp, grid)
+        xs, ys = grid_nodes(vp.xmin, vp.xmax, grid), grid_nodes(vp.ymin, vp.ymax, grid)
+        uses = Counter(id(point) for segment in segments for point in segment)
+        for segment in segments:
+            for point in segment:
+                if xs[0] < point[0] < xs[grid] and ys[0] < point[1] < ys[grid]:
+                    assert uses[id(point)] == 2
 
     def test_saddle_and_grid_edge_cases(self):
         vp = Viewport(-2.95, 3.05, -3.05, 2.95)
@@ -344,6 +388,15 @@ class TestTraceImplicit:
         segments = trace_implicit(CIRCLE, vp, 16)
         assert segments == reference_trace(CIRCLE, X1, X2, vp, 16)
         assert segments
+
+    @pytest.mark.parametrize("text", ["x1*x2", "-x1*x2", "x1*x2 - x1*x2^2"])
+    def test_nonfinite_column_raises(self, text):
+        # Every column is +inf throughout, -inf throughout, or NaN (inf +
+        # -inf); only the first bytes 0x7f and 0xff mark such a value, and
+        # each must send its column to the isfinite check.
+        vp = Viewport(1e250, 2e250, 1e100, 2e100)
+        with pytest.raises(OverflowError, match="grid column at x = 1e[+]250 is not finite"):
+            trace_implicit(parse(text), vp, 16)
 
     @pytest.mark.parametrize("text", ["-x1*x2", "-x1*x2^2 - x2", "x2*(1/2 - x1)",
                                       "-x1^2*x2 - x1*x2^2 + x1"])
@@ -583,6 +636,27 @@ class TestRenderSvg:
         assert undirected(decode_path(d)) == undirected(printed)
         assert d.count("M") == chain_count(printed)
         assert render_svg(scene) == svg
+
+    @pytest.mark.parametrize("dx", [0.0, 0.25])
+    @pytest.mark.parametrize("vp", SOUP_VIEWPORTS)
+    def test_each_vertex_object_printed_once(self, vp, dx):
+        # A vertex is printed once per object, not per value: the signed
+        # zeros are equal but print apart where a window edge is 0.0.  A
+        # layer of shared objects, equal-valued distinct objects and signed
+        # zeros prints the bytes of the same layer with every vertex a
+        # distinct object, and every vertex as formatted one by one.
+        shared = tuple([0.5, 1.0])
+        segments = [((-0.0, -0.0), shared), (shared, tuple([0.5, 1.0])),
+                    (tuple([0.5, 1.0]), (0.0, 0.0)), ((0.0, -0.0), (-0.0, 0.0)),
+                    ((-0.0, 0.0), (1.5, 1.5)), (shared, (1.5, 1.5))]
+        scene = PlaneScene(vp)
+        scene.add_segments(segments, dx=dx)
+        copies = PlaneScene(vp)
+        copies.add_segments([tuple(tuple([x, y]) for x, y in segment) for segment in segments],
+                            dx=dx)
+        assert render_svg(scene) == render_svg(copies)
+        [d] = [d for style, d in rendered_paths(scene) if style == "thin"]
+        assert undirected(decode_path(d)) == undirected(formatted_segments(scene, segments, dx))
 
     def test_gap_starts_new_subpath(self):
         # One unit is one pixel: an end and a start 0.001 px apart print
