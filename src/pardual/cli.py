@@ -9,7 +9,16 @@ samples, 6 unwritable output (an --out path, or a stdout pipe closed
 early, which exits quietly).  Handlers raise ValueError on bad input;
 main prints the "error:" line and exits with the error's exit_code
 (3 to 5), or 2.  Each command loads only the modules it runs, importing
-dualize or plot once its input parses.
+dualize or plot once its input parses, and elimination only when it takes
+a resultant.
+
+`pardual` and `python -m pardual.cli` go through run: once main returns,
+stdout and stderr are flushed and the process ends by os._exit, skipping
+the interpreter's teardown (which only frees memory the OS takes back),
+when no trace, profile or sys.monitoring tool is attached.  atexit
+handlers registered by other code do not run on that path.  Under such a
+tool the process exits the ordinary way, so `python -m cProfile -m
+pardual.cli ...` prints its table as before.
 
 The polynomial argument is read from the first positional, or from stdin
 when it is "-" (first non-comment line).  Use "--" before positional
@@ -24,6 +33,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .polyparse import ParseError, parse, print_poly
 from .polyring import DEFAULT_SPACING, VAR_BY_NAME, X, Y, evaluate_exact, total_degree
@@ -238,5 +248,28 @@ def main(argv=None) -> int:
         return 2
 
 
+def _watched() -> bool:
+    """Whether a trace or profile hook, or from Python 3.12 on a
+    sys.monitoring tool (ids 0 to 5), is attached; cProfile registers as
+    monitoring tool 2 there and sets no profile hook."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None
+                and any(monitoring.get_tool(tool) is not None for tool in range(6))))
+
+
+def run() -> NoReturn:
+    """Console entry point: run main and end the process with its code,
+    by os._exit after flushing stdout and stderr when no tool watches (see
+    the module docstring).  An exception from main, argparse's SystemExit
+    included, leaves the process to exit the ordinary way."""
+    code = main()
+    if not _watched():
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

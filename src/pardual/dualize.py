@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .elimination import BinaryForm, resultant
 from .polyring import (
     DEFAULT_SPACING,
     VAR_NAMES,
@@ -35,6 +34,9 @@ from .polyring import (
     total_degree,
     variables,
 )
+
+if TYPE_CHECKING:
+    from .elimination import BinaryForm
 
 F_TOL_REL = 1e-12          # on-curve residual, relative to local term scale
 SINGULAR_TOL = 1e-9        # minimum gradient norm for a usable sample, relative to _gradient_scale
@@ -143,6 +145,9 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
         raise DegreeError("dual_curve needs degree >= 2 (lines dualize to points)")
     if curve.n > MAX_SOURCE_DEGREE:
         raise DegreeError(f"dual_curve supports degree <= {MAX_SOURCE_DEGREE} (got {curve.n})")
+    # elimination loads here, not with this module: the commands that reject
+    # a degree or never take a resultant (conic-dual, plot-envelope) skip it
+    from .elimination import resultant
     # c*f has f's dual: Res(cF1, cF2) = c^(2(n-1)) Res(F1, F2), a factor normalizing drops
     _, f = content_and_primitive(curve.f)
     x = Polynomial.variable(X)
@@ -190,6 +195,7 @@ def _partial_forms(f: Polynomial, eta: Polynomial, xi: Polynomial,
     d2 = tuple((n - i) * cone[i] for i in range(n))
     if not any(d1) or not any(d2):
         raise DegenerateCurveError("a partial derivative vanished identically")
+    from .elimination import BinaryForm
     return BinaryForm(n - 1, d1), BinaryForm(n - 1, d2)
 
 

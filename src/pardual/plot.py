@@ -123,7 +123,8 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     value of p at the float node in units of form.max_abs_term.  The cells
     are marched between two adjacent columns, so the full grid of values is
     never held.  A column with a value that is not finite raises
-    OverflowError.
+    OverflowError.  Powers of y above p's degree in y are never taken: their
+    coefficients are zero, and they could overflow where p does not.
 
     Each column is also reduced to a sign mask, an int whose bit j is set
     when value j < 0.  The mask is read in C builtins, with no Python step
@@ -169,7 +170,8 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     form = FloatForm(p, ax, ay)
     xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]
     ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
-    y_powers = [[yv ** b for yv in ys] for b in range(1, form.degree + 1)]
+    y_degree = max((b for _, _, b in form.terms), default=0)
+    y_powers = [[yv ** b for yv in ys] for b in range(1, y_degree + 1)]
     cells = (1 << grid) - 1  # bit grid of a mask is the top node, not a cell
     pack = struct.Struct(f">{grid + 1}d").pack
 

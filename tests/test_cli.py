@@ -450,6 +450,15 @@ class TestCommandSurface:
         assert err.startswith(f"error: float evaluation over window {bounds} overflowed")
         assert "Traceback" not in err
 
+    def test_overflow_names_the_grid_column(self, capsys):
+        # x1*x2 - 1 has degree 1 in x2, so the trace takes no x2^2, which
+        # overflows here; the column's values do, and the error says where
+        code, out, err = run(capsys, "plot", "x1*x2 - 1", "--window=1e200,2e200,1e200,2e200")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: float evaluation over window 1e+200,2e+200,1e+200,2e+200 "
+                       "overflowed: grid column at x = 1e+200 is not finite\n")
+
     def test_overflow_without_window_exit_2(self, capsys, monkeypatch):
         # the handler names a window only for a command that has one
         def overflow(args):
@@ -529,19 +538,21 @@ class TestEvalCommand:
         assert code == 2
 
 
-# Runs one command as `python -m pardual.cli` does, or imports the package
-# when the command is null, and reports the modules that step loaded.
+# Runs one command through pardual.cli.main, or imports the package when
+# the command is null, and reports the modules that step loaded.  main
+# loads what `python -m pardual.cli` loads, and returns, where the module
+# run as a script would end the process before the report.
 MODULE_PROBE = """
-import json, runpy, sys
+import json, sys
 before = set(sys.modules)
 command = json.loads(sys.argv[1])
 code = 0
 if command is None:
     import pardual
 else:
-    sys.argv = ["pardual", *command]
+    import pardual.cli
     try:
-        runpy.run_module("pardual.cli", run_name="__main__", alter_sys=True)
+        code = pardual.cli.main(command)
     except SystemExit as exc:
         code = exc.code
 sys.stdout.flush()
@@ -562,24 +573,91 @@ class TestModuleBudget:
     """Each command loads only the modules it runs."""
 
     CIRCLE = "x1^2 + x2^2 - 1"
+    OPTIONAL = {"pardual.dualize", "pardual.elimination", "pardual.plot"}
+    DUAL = {"pardual.dualize", "pardual.elimination"}
 
-    @pytest.mark.parametrize("command, exit_code, needs_dual", [
-        pytest.param(["dual", "--", CIRCLE], 0, True, id="dual"),
-        pytest.param(["conic-dual", "1", "1", "-1", "0", "0", "0"], 0, True, id="conic-dual"),
-        pytest.param(["verify", "--samples", "10", "--", CIRCLE], 0, True, id="verify"),
-        pytest.param(["eval", CIRCLE, "--at", "x1=3/5,x2=4/5"], 0, False, id="eval"),
-        pytest.param(["dual", "--", "x1^^2"], 2, False, id="parse-error"),
+    @pytest.mark.parametrize("command, exit_code, runs", [
+        pytest.param(["dual", "--", CIRCLE], 0, DUAL, id="dual"),
+        pytest.param(["conic-dual", "1", "1", "-1", "0", "0", "0"], 0, {"pardual.dualize"},
+                     id="conic-dual"),
+        pytest.param(["verify", "--samples", "10", "--", CIRCLE], 0, DUAL, id="verify"),
+        pytest.param(["eval", CIRCLE, "--at", "x1=3/5,x2=4/5"], 0, set(), id="eval"),
+        pytest.param(["dual", "--", "x1^^2"], 2, set(), id="parse-error"),
+        pytest.param(["plot-envelope", "--samples", "10", "--", CIRCLE], 0,
+                     {"pardual.dualize", "pardual.plot"}, id="plot-envelope"),
+        pytest.param(["dual", "--", "x1 + 2*x2 - 3"], 4, {"pardual.dualize"}, id="line-exit-4"),
     ])
-    def test_command(self, command, exit_code, needs_dual):
+    def test_command(self, command, exit_code, runs):
         code, loaded = modules_loaded_by(command)
         assert code == exit_code
         assert "pardual.polyparse" in loaded
-        assert not loaded & {"dataclasses", "pardual.plot"}
-        dual_modules = {"pardual.dualize", "pardual.elimination"}
-        assert loaded >= dual_modules if needs_dual else not loaded & dual_modules
+        assert "dataclasses" not in loaded
+        assert loaded & self.OPTIONAL == runs
 
     def test_import_package(self):
         code, loaded = modules_loaded_by(None)
         assert code == 0
         assert "pardual" in loaded
         assert not {name for name in loaded if name.startswith("pardual.")}
+
+
+# Runs pardual.cli as `python -m pardual.cli` does, as __main__ and so
+# through cli.run, with an atexit handler that marks the interpreter's
+# teardown on stderr: the hard exit skips it, the ordinary exit runs it.
+EXIT_PROBE = """
+import atexit, runpy, sys
+atexit.register(print, "teardown", file=sys.stderr)
+runpy.run_module("pardual.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestHardExit:
+    """cli.run ends the process by os._exit and loses no output on the way."""
+
+    CIRCLE = "x1^2 + x2^2 - 1"
+
+    @pytest.mark.parametrize("argv, exit_code, hard", [
+        pytest.param(["dual", "--", CIRCLE], 0, True, id="dual"),
+        pytest.param(["conic-dual", "1", "1", "-1", "0", "0", "0"], 0, True, id="conic-dual"),
+        pytest.param(["eval", CIRCLE, "--at", "x1=3/5,x2=4/5"], 0, True, id="eval"),
+        pytest.param(["verify", "--samples", "10", "--", CIRCLE], 0, True, id="verify"),
+        pytest.param(["plot-envelope", "--samples", "10", "--", CIRCLE], 0, True,
+                     id="plot-envelope"),
+        pytest.param(["plot", "--grid", "16", "--out", "{out}", "--", CIRCLE], 0, True,
+                     id="plot-out"),
+        pytest.param(["dual", "--", "x1^^2"], 2, True, id="parse-error"),
+        pytest.param(["plot", "--grid", "16", "--out", "{missing}", "--", CIRCLE], 6, True,
+                     id="unwritable-out"),
+        pytest.param(["dual", "--grid", "16", CIRCLE], 2, False, id="argparse-error"),
+        pytest.param(["dual", "--help"], 0, False, id="help"),
+    ])
+    def test_child_matches_main(self, argv, exit_code, hard, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal's width
+        missing = tmp_path / "missing" / "out.svg"
+        child_argv = [arg.format(out=tmp_path / "child.svg", missing=missing) for arg in argv]
+        main_argv = [arg.format(out=tmp_path / "main.svg", missing=missing) for arg in argv]
+        child = subprocess.run([sys.executable, "-c", EXIT_PROBE, *child_argv],
+                               capture_output=True, text=True, timeout=60,
+                               env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
+        try:
+            code = main(main_argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert child.returncode == code == exit_code
+        assert child.stdout == captured.out
+        assert child.stderr == captured.err + ("" if hard else "teardown\n")
+        if "{out}" in argv:
+            assert (tmp_path / "child.svg").read_bytes() == (tmp_path / "main.svg").read_bytes()
+
+    def test_cprofile_prints_its_stats(self):
+        # cProfile sets a profile hook (a monitoring tool from Python 3.12 on)
+        # and prints its table after the module ends: run leaves it the ordinary exit
+        proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "pardual.cli",
+                               "dual", "--", self.CIRCLE],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("dual: 2*x^2 - y^2 - 2*x + 1\n")
+        assert re.search(r"\d+ function calls .* in [\d.]+ seconds", proc.stdout)
+        assert "Ordered by: " in proc.stdout
