@@ -42,7 +42,7 @@ F_TOL_REL = 1e-12          # on-curve residual, relative to local term scale
 SINGULAR_TOL = 1e-9        # minimum gradient norm for a usable sample, relative to _gradient_scale
 DENOM_TOL = 1e-9           # slope-1 tangents map to ideal points, relative to _gradient_scale
 RESIDUAL_THRESHOLD = 1e-6  # verification pass mark
-MAX_SOURCE_DEGREE = 12     # x1^12 + x2^12 - 1 takes ~35 s on 2 cores; each degree more ~2.2x
+MAX_SOURCE_DEGREE = 12     # x1^12 + x2^12 - 1 takes ~28 s on 2 cores; each degree more ~2.5x
 
 _SAMPLES_PER_LINE = 64
 _BISECT_STEPS = 80

@@ -142,6 +142,33 @@ def substitute(p, bindings):
     return result
 
 
+def exact_quotient(h, p):
+    """h / p where p divides h, else None: long division by p's leading term
+    in graded-lex order, over the rationals.  Where p divides h, the leading
+    term of each remainder is a multiple of p's, so the division ends at 0."""
+    def grade(exps):
+        return sum(exps), exps
+
+    divisor = {exponents(mono): Fraction(c) for mono, c in p.terms.items()}
+    lead = max(divisor, key=grade)
+    rest = {exponents(mono): Fraction(c) for mono, c in h.terms.items()}
+    quotient = {}
+    while rest:
+        top = max(rest, key=grade)
+        shift = tuple(a - b for a, b in zip(top, lead))
+        if min(shift) < 0:
+            return None
+        factor = quotient[shift] = rest[top] / divisor[lead]
+        for exps, c in divisor.items():
+            key = tuple(a + b for a, b in zip(exps, shift))
+            value = rest.get(key, 0) - factor * c
+            if value:
+                rest[key] = value
+            else:
+                del rest[key]
+    return Polynomial({monomial(range(NUM_VARS), exps): c for exps, c in quotient.items()})
+
+
 def form_polynomial(form):
     """The binary form as a polynomial: the inverse of as_binary_form."""
     x1, x2 = Polynomial.variable(X1), Polynomial.variable(X2)

@@ -11,6 +11,7 @@ from helpers import (
     as_binary_form,
     conic_determinant,
     evaluate_float,
+    exact_quotient,
     homogenize,
     image_certificate,
     monomials,
@@ -294,6 +295,41 @@ class TestImageCertificate:
         f = parse("x1^2 - 2")
         assert image_certificate(f, parse("y^2 - 2"))
         assert not image_certificate(f, parse("y^2 - 3"))
+
+
+def collineation(f):
+    """F(y, x + y - 1, x), normalized like a dual, for f homogenized by x3 to F."""
+    x, y = Polynomial.variable(X), Polynomial.variable(Y)
+    return content_and_primitive(substitute(homogenize(f, X3), {X1: y, X2: x + y - 1, X3: x}))[1]
+
+
+def dual_of_dual(f):
+    g = dual_curve(ImplicitCurve(f)).g
+    return dual_curve(ImplicitCurve(
+        substitute(g, {X: Polynomial.variable(X1), Y: Polynomial.variable(X2)}))).g
+
+
+class TestBiduality:
+    """The dual of the dual is f under the collineation (x1 : x2 : x3) ->
+    (y : x + y - 1 : x).  For conics the two are equal.  For cubics f's image
+    divides it once, and the rest is the lines of g's cusps (f's flexes)."""
+
+    @settings(max_examples=20)
+    @given(st.lists(st.integers(-9, 9).filter(bool), min_size=6, max_size=6))
+    def test_dense_conics(self, entries):
+        source = ConicMatrix.of(*entries)
+        assume(conic_determinant(source) != 0)
+        f = source.polynomial(X1, X2)
+        assert dual_of_dual(f) == collineation(f)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dense_cubics(self, seed):
+        # g has degree 6, so its dual runs on grid lines of 61 nodes (N = 30)
+        f = parse(dense_text(random.Random(seed), 3))
+        image = collineation(f)
+        quotient = exact_quotient(dual_of_dual(f), image)
+        assert quotient is not None
+        assert exact_quotient(quotient, image) is None
 
 
 class TestConicDual:

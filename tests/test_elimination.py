@@ -20,6 +20,7 @@ from pardual.elimination import (
     BinaryForm,
     _exact_line,
     _interpolate,
+    _interpolate_grid,
     _line_resultants,
     resultant,
 )
@@ -453,6 +454,13 @@ class TestResultant:
         f, g = BinaryForm(n, f_coeffs), BinaryForm(m, g_coeffs)
         assert resultant(f, g) == leibniz(sylvester_matrix(f, g))
 
+    def test_recorded_worst_draw(self):
+        # the slowest draw of the property above: per-variable bounds 4, 4, 6,
+        # 6, 6 give 8,575 grid nodes for a 9-term resultant of total degree 6
+        f = BinaryForm(2, (Polynomial(), Polynomial(), parse("psi*x + y^2")))
+        g = BinaryForm(2, (parse("eta^2 + xi^2"), parse("x^2"), parse("psi^2 + y")))
+        assert resultant(f, g) == leibniz(sylvester_matrix(f, g))
+
     @settings(max_examples=60)
     @given(st.integers(1, 2), st.integers(1, 2), st.data())
     def test_shared_coefficient_parts(self, n, m, data):
@@ -514,3 +522,49 @@ class TestResultant:
             r = resultant(as_binary_form(partial_derivative(g, X1)),
                           as_binary_form(partial_derivative(g, X2)))
             assert total_degree(r) <= n * (2 * n - 2)
+
+
+DENSE_CUBIC = "-2*x1^3 + 9*x1^2*x2 - 5*x1*x2^2 + 3*x2^3 + 7*x1^2 - 7*x1*x2 - 9*x2^2 + 7*x1 - x2 + 9"
+DENSE_QUINTIC = ("-x1^5 + 3*x1^4*x2 + 8*x1^3*x2^2 - 9*x1^2*x2^3 + 6*x1*x2^4 - 2*x2^5 - 8*x1^4"
+                 " - 4*x1^3*x2 - 6*x1^2*x2^2 + 3*x1*x2^3 + 7*x2^4 - 2*x1^3 + 4*x1^2*x2"
+                 " + 9*x1*x2^2 - 6*x2^3 - 2*x1^2 - 9*x1*x2 - 3*x2^2 + 5*x1 - x2 - 4")
+
+
+class TestInterpolateGrid:
+    # The dual's resultant R(x, y) of a degree-n curve has total degree at most
+    # 2N and the factor y^N, N = n(n - 1), on a (2N + 1)^2 grid.  The lines
+    # along y are read in full; of the lines along x only those of y^N..y^2N
+    # are nonzero, and the one of y^e is cut to its 2N - e + 1 values.  Both
+    # axes read in full would be 2 * 13^2 = 338 and 2 * 41^2 = 3362 values.
+    @pytest.mark.parametrize("text, count", [
+        (DENSE_CUBIC, 13 ** 2 + 7 * 8 // 2),  # 197
+        (DENSE_QUINTIC, 41 ** 2 + 21 * 22 // 2),  # 1912
+    ], ids=["cubic", "quintic"])
+    def test_values_read_for_a_dense_dual(self, monkeypatch, text, count):
+        read = []
+        original = elimination._interpolate
+
+        def counted(values, start):
+            read.append(len(values))
+            return original(values, start)
+
+        monkeypatch.setattr(elimination, "_interpolate", counted)
+        dual_curve(ImplicitCurve(parse(text)))
+        assert sum(read) == count
+
+    def test_lines_cut_to_the_total_degree(self):
+        # v1 + v2^2 on a 3 x 3 grid: after the v2 pass the v2^2 line is the
+        # constant 1, interpolated from its first value alone
+        axes = [range(-1, 2), range(-1, 2)]
+        values = [x + y ** 2 for x in axes[0] for y in axes[1]]
+        _interpolate_grid(values, axes, 2)
+        assert values == [0, 0, 1, 1, 0, 0, 0, 0, 0]
+
+    def test_nonzero_line_past_total_degree_raises(self):
+        # v1 * v2^2: its v2^2 line is nonzero, and a bound of 1 leaves it no degree
+        axes = [range(-1, 2), range(-1, 2)]
+        values = [x * y ** 2 for x in axes[0] for y in axes[1]]
+        with pytest.raises(ArithmeticError, match="total degree bound 1"):
+            _interpolate_grid(list(values), axes, 1)
+        _interpolate_grid(values, axes, 3)
+        assert values == [0, 0, 0, 0, 0, 1, 0, 0, 0]
