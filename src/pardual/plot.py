@@ -7,12 +7,17 @@ column also becomes an integer sign mask (bit j set when value j is
 negative), read from the sign bits of the column packed as IEEE doubles
 with no Python step per value, and bit operations on two adjacent masks
 select the cells whose corners differ in sign: only those few are
-marched.  The first bytes packed for the mask also say which columns may
-hold an inf or a NaN, and only those are checked value by value.  A
-crossed cell joins its edge crossings in the fixed order bottom, left,
-right, top; each crossing is interpolated once and shared, as one
-object, by the two cells of its edge.  Only a saddle, with all four
-edges crossed, samples its center to pick the pairs.  Scenes are ordered
+marched.  A column whose coefficients in y keep it away from zero over
+the grid's y span, by a margin of 2*gamma*S (S the per-column scale of
+ROADMAP item 12) that covers every rounding, is certified to keep one
+sign and takes that mask without its list passes; they run, unchanged,
+only when a crossed cell reads the column, so no value or byte moves.
+The first bytes packed for the mask also say which columns may hold an
+inf or a NaN, and only those are checked value by value.  A crossed cell
+joins its edge crossings in the fixed order bottom, left, right, top;
+each crossing is interpolated once and shared, as one object, by the two
+cells of its edge.  Only a saddle, with all four edges crossed, samples
+its center to pick the pairs.  Scenes are ordered
 layers of segments with style tokens and x offsets; two_panel_scene
 places source and dual side by side, and render_svg draws the source
 panel's axes first and emits byte-stable SVG 1.1, y flipped to
@@ -104,6 +109,97 @@ def _axes_pair(p: Polynomial) -> tuple[int, int]:
     raise ValueError("polynomial must depend on the (x1, x2) or (x, y) pair")
 
 
+def _column_values(c0: float, coeffs: list[float], ys: list[float],
+                   y_powers: list[list[float]]) -> list[float]:
+    """The column c0 + sum(c_b * y**b) at each node of ys, y_powers[b - 1]
+    holding each node's y**b: c0 plus the nonzero c_b * y**b, b ascending,
+    up to three powers per list pass (see trace_implicit)."""
+    terms = [(c, powers) for c, powers in zip(coeffs, y_powers) if c]
+    head = len(terms) % 3 or 3  # the first pass takes the rest, every later one three
+    if not terms:
+        values = [c0] * len(ys)
+    elif head == 1:
+        [(a, ya)] = terms[:1]
+        values = [c0 + a * pa for pa in ya]
+    elif head == 2:
+        (a, ya), (b, yb) = terms[:2]
+        values = [c0 + a * pa + b * pb for pa, pb in zip(ya, yb)]
+    else:
+        (a, ya), (b, yb), (c, yc) = terms[:3]
+        values = [c0 + a * pa + b * pb + c * pc for pa, pb, pc in zip(ya, yb, yc)]
+    for k in range(head, len(terms), 3):
+        (a, ya), (b, yb), (c, yc) = terms[k:k + 3]
+        values = [v + a * pa + b * pb + c * pc
+                  for v, pa, pb, pc in zip(values, ya, yb, yc)]
+    return values
+
+
+def _power_ranges(y_lo: float, y_hi: float, degree: int) -> list[tuple[float, float, float]]:
+    """(low, high, top) for b = 1 .. degree: y**b lies in [low, high] and
+    |y|**b is at most top for y_lo <= y <= y_hi, from the powers of the
+    two ends as ** takes them at the grid's nodes."""
+    ranges = []
+    for b in range(1, degree + 1):
+        first, last = y_lo ** b, y_hi ** b
+        if b % 2:  # y**b rises with y
+            low, high = first, last
+        else:  # y**b is |y|**b, least at the y nearest 0
+            low, high = min(first, last), max(first, last)
+            if y_lo < 0 < y_hi:
+                low = 0.0
+        ranges.append((low, high, max(abs(first), abs(last))))
+    return ranges
+
+
+def _column_sign(c0: float, coeffs: list[float],
+                 ranges: list[tuple[float, float, float]]) -> int:
+    """1 when every value of a column, c0 + sum(c_b * y**b) as
+    trace_implicit's passes compute it at the nodes of the y span that
+    ranges (from _power_ranges) covers, is certified positive, -1 when
+    every one is certified negative, 0 otherwise.  coeffs[b - 1] is c_b;
+    entries past len(ranges), the column's degree d in y, are zero.
+
+    lo and hi bound the exact column from below and above over the span,
+    each term at its least and its greatest, and S = |c0| +
+    sum(|c_b| * max |y|**b), the per-column scale of ROADMAP item 12,
+    bounds the sum of the terms' magnitudes at every node.  The sign is
+    certified when lo > 2*gamma*S, or hi < -2*gamma*S, for gamma =
+    4*(d + 4)*u and u = 2**-53.  Taking the column's coefficients as
+    given, a node value rounds y**b once in ** (within 2u: libm's pow is
+    good to one unit in the last place), once in its product and once in
+    each of at most d additions, so it is within gamma_(d+3)*S of its
+    exact value, where gamma_n = n*u / (1 - n*u) < gamma / 4.  lo, hi and
+    S take the same roundings and the margin's product one more, so
+    lo > 2*gamma*S leaves every exact node value above
+    (2*gamma - 3*gamma_(d+3))*S, beyond its own rounding error: every float
+    value is positive, and hi < -2*gamma*S makes every one negative.  This
+    is the standard model, with no operand or result below 2**-1022; lo
+    and hi are also summed in the passes' order, so with a pow monotone in
+    y they bound every node value outright, rounding being monotone.
+
+    A column with S >= 1e300, inf or NaN certifies nothing: only its
+    passes can tell whether a value overflows, and they raise
+    OverflowError on it.  A certified column's values are finite."""
+    lo = hi = c0
+    scale = abs(c0)
+    for c, (low, high, top) in zip(coeffs, ranges):
+        if c < 0:
+            lo += c * high
+            hi += c * low
+            scale -= c * top
+        else:  # a NaN c comes here and makes S NaN
+            lo += c * low
+            hi += c * high
+            scale += c * top
+    if scale < 1e300:  # also false for inf and NaN
+        margin = 8 * (len(ranges) + 4) * 2.0 ** -53 * scale  # 2 * gamma * S
+        if lo > margin:
+            return 1
+        if hi < -margin:
+            return -1
+    return 0
+
+
 def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     """March a grid x grid cell mesh over the viewport and return the
     zero-set segments of p (empty when the curve misses the window).
@@ -125,6 +221,21 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     never held.  A column with a value that is not finite raises
     OverflowError.  Powers of y above p's degree in y are never taken: their
     coefficients are zero, and they could overflow where p does not.
+
+    Before its passes, each column's coefficients are bounded over the
+    grid's y span, min(ys) to max(ys), by _column_sign: a column whose
+    lower bound exceeds the margin 2*gamma*S (S the per-column scale of
+    ROADMAP item 12, gamma = 4*(d + 4)*2**-53 for p's degree d in y, which
+    covers the rounding of the passes, of yv ** b and of the bound) is
+    certified positive and takes the mask 0; one whose upper bound is
+    below -2*gamma*S is certified negative and takes the mask with all
+    grid + 1 bits set.  Those are the masks its values would give.  A
+    certified column's passes run only when a crossed cell reads its
+    values, and they are the same passes in the same order, so every
+    value read, and every segment, is bit for bit what evaluating every
+    column gives; most columns of a curve that fills a small part of the
+    window are never evaluated.  A column with S >= 1e300, inf or NaN is
+    not certified, so a column with a value that overflows still raises.
 
     Each column is also reduced to a sign mask, an int whose bit j is set
     when value j < 0.  The mask is read in C builtins, with no Python step
@@ -172,48 +283,44 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
     y_degree = max((b for _, _, b in form.terms), default=0)
     y_powers = [[yv ** b for yv in ys] for b in range(1, y_degree + 1)]
+    ranges = _power_ranges(min(ys), max(ys), y_degree)
     cells = (1 << grid) - 1  # bit grid of a mask is the top node, not a cell
+    negative = (1 << (grid + 1)) - 1  # every node, the top one included
     pack = struct.Struct(f">{grid + 1}d").pack
 
-    def column(xv: float) -> tuple[list[float], int]:
+    def column(xv: float) -> tuple[list[float] | None, int, tuple[float, list[float]] | None]:
+        """(values, mask, line): a certified column's values are None, and
+        its line (c0, coeffs) waits for its passes until a crossed cell reads it."""
         c0, *coeffs = form.line(ax, xv)
         c0 = c0 or 0.0  # as 0.0 + c0 would: a column never starts at -0.0
-        terms = [(c, powers) for c, powers in zip(coeffs, y_powers) if c]
-        head = len(terms) % 3 or 3  # the first pass takes the rest, every later one three
-        if not terms:
-            values = [c0] * len(ys)
-        elif head == 1:
-            [(a, ya)] = terms[:1]
-            values = [c0 + a * pa for pa in ya]
-        elif head == 2:
-            (a, ya), (b, yb) = terms[:2]
-            values = [c0 + a * pa + b * pb for pa, pb in zip(ya, yb)]
-        else:
-            (a, ya), (b, yb), (c, yc) = terms[:3]
-            values = [c0 + a * pa + b * pb + c * pc for pa, pb, pc in zip(ya, yb, yc)]
-        for k in range(head, len(terms), 3):
-            (a, ya), (b, yb), (c, yc) = terms[k:k + 3]
-            values = [v + a * pa + b * pb + c * pc
-                      for v, pa, pb, pc in zip(values, ya, yb, yc)]
+        sign = _column_sign(c0, coeffs, ranges)
+        if sign:
+            return None, 0 if sign > 0 else negative, (c0, coeffs)
+        values = _column_values(c0, coeffs, ys, y_powers)
         heads = pack(*values)[-8::-8]
         if (b"\x7f" in heads or b"\xff" in heads) and not all(map(math.isfinite, values)):
             raise OverflowError(f"grid column at x = {xv!r} is not finite")
-        return values, int(heads.translate(_SIGN_DIGITS), 2)
+        return values, int(heads.translate(_SIGN_DIGITS), 2), None
 
     def interp(x0, y0, v0, x1, y1, v1) -> Point:
         t = v0 / (v0 - v1)
         return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
 
     segments: list[Segment] = []
-    right, right_mask = column(xs[0])
+    right, right_mask, right_line = column(xs[0])
     rights: dict[int, Point] = {}
     for i in range(grid):
-        left, left_mask = right, right_mask
-        right, right_mask = column(xs[i + 1])
+        left, left_mask, left_line = right, right_mask, right_line
+        right, right_mask, right_line = column(xs[i + 1])
         lefts, rights = rights, {}
         x0, x1 = xs[i], xs[i + 1]
         crossed = ((left_mask ^ right_mask) | (left_mask ^ (left_mask >> 1))
                    | (right_mask ^ (right_mask >> 1))) & cells
+        if crossed:
+            if left is None:
+                left = _column_values(*left_line, ys, y_powers)
+            if right is None:
+                right = _column_values(*right_line, ys, y_powers)
         while crossed:
             low = crossed & -crossed
             crossed ^= low

@@ -459,6 +459,16 @@ class TestCommandSurface:
         assert err == ("error: float evaluation over window 1e+200,2e+200,1e+200,2e+200 "
                        "overflowed: grid column at x = 1e+200 is not finite\n")
 
+    def test_overflow_names_a_column_too_large_to_certify(self, capsys):
+        # No column's scale S is below 1e300 here, so none is certified to
+        # keep one sign: the first column is evaluated, and its sum overflows
+        code, out, err = run(capsys, "plot", "x1^2 + x2^2 - 1",
+                             "--window=-1e154,1e154,-1e154,1e154")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: float evaluation over window -1e+154,1e+154,-1e+154,1e+154 "
+                       "overflowed: grid column at x = -1e+154 is not finite\n")
+
     def test_overflow_without_window_exit_2(self, capsys, monkeypatch):
         # the handler names a window only for a command that has one
         def overflow(args):

@@ -9,11 +9,15 @@ from helpers import cellwise_trace, evaluate_float, nonzero_polynomials, polynom
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pardual import plot
 from pardual.cli import MAX_GRID
 from pardual.dualize import ImplicitCurve, dual_curve, line_dual_point, sample_curve
 from pardual.plot import (
     PlaneScene,
     Viewport,
+    _column_sign,
+    _column_values,
+    _power_ranges,
     clip_infinite_line,
     envelope_scene,
     render_svg,
@@ -427,6 +431,141 @@ class TestTraceImplicit:
         for segment in segments:
             for point in segment:
                 assert abs(point[axis] - 1 / 3) < 1e-12
+
+
+@st.composite
+def sign_columns(draw):
+    """(c0s, coeffs, ys): columns c0 + sum(c_b * y**b) of degree 0 to 30 in
+    y, one for each c0 in c0s, over grid nodes ys whose span does or does
+    not contain 0, with coefficient magnitudes from 1e-30 to 1e30, every
+    power or at most two of them nonzero.  One c0 is free; the others
+    nearly cancel the least and the greatest node value of the other
+    terms, the same few units of their scale S above and below 0, where a
+    certificate that bounds the column too tightly names a sign that some
+    node value does not have."""
+    degree = draw(st.integers(0, 30))
+    grid = draw(st.sampled_from([16, 17]))
+    near, far = sorted(draw(st.integers(0, 300)) / 100 for _ in range(2))
+    assume(near < far)
+    y_lo, y_hi = draw(st.sampled_from([(-near, far), (-far, near), (near, far), (-far, -near)]))
+    ys = grid_nodes(y_lo, y_hi, grid)
+    scale = draw(st.integers(-27, 27))
+
+    def coefficient():
+        mantissa = draw(st.integers(1, 999)) / 100
+        return draw(st.sampled_from([-1, 1])) * mantissa * 10.0 ** (scale + draw(st.integers(-3, 3)))
+
+    if draw(st.booleans()):  # dense, or at most two powers, whose bounds are tight more often
+        coeffs = [coefficient() if draw(st.booleans()) else 0.0 for _ in range(degree)]
+    else:
+        powers = draw(st.sets(st.integers(1, max(degree, 1)), max_size=2)) if degree else set()
+        coeffs = [coefficient() if b in powers else 0.0 for b in range(1, degree + 1)]
+    y_powers = [[yv ** b for yv in ys] for b in range(1, degree + 1)]
+    rest = _column_values(0.0, coeffs, ys, y_powers)
+    size = sum(abs(c) * max(abs(yv) for yv in ys) ** b for b, c in enumerate(coeffs, 1))
+    offset = draw(st.integers(1, 2 ** 12)) * 2.0 ** -draw(st.integers(40, 56)) * size
+    c0s = [coefficient()] + [sign * offset - extreme for extreme in (min(rest), max(rest))
+                             for sign in (1, -1)]
+    return [c0 or 0.0 for c0 in c0s], coeffs, ys
+
+
+# Curves, windows and grids on which the certificate must move no segment:
+# plot-grid's three curves and their duals at the CLI defaults, the duals of
+# a seeded dense cubic (the first of test_dualize.dense_text(random.Random(4),
+# 3)) and of the dense quartic whose plot CI pins, an off-centre window, a
+# window the curve misses and a curve a few cells across.
+CERTIFIED_CASES = [
+    ("x1^2 + x2^2 - 1", False, (-3.0, 3.0, -3.0, 3.0), 256),
+    ("x1^2 + x2^2 - 1", True, (-3.0, 3.0, -3.0, 3.0), 256),
+    ("x1^2*x2 - 1", False, (-3.0, 3.0, -3.0, 3.0), 256),
+    ("x1^2*x2 - 1", True, (-3.0, 3.0, -3.0, 3.0), 256),
+    ("x1^3 - x1^2 - x2^2 + x2 - 1", False, (-3.0, 3.0, -3.0, 3.0), 256),
+    ("x1^3 - x1^2 - x2^2 + x2 - 1", True, (-3.0, 3.0, -3.0, 3.0), 256),
+    ("- 2*x1^3 + 1*x1^2*x2^1 - 6*x1^1*x2^2 + 4*x2^3 + 7*x1^2 - 5*x1^1*x2^1 - 7*x2^2"
+     " - 7*x1^1 - 9*x2^1 + 4", True, (-3.0, 3.0, -3.0, 3.0), 128),
+    ("-9*x1^4 + 5*x1^3*x2 - 9*x1^2*x2^2 - 3*x1*x2^3 + 7*x2^4 + 4*x1^3 + 7*x1^2*x2"
+     " + 4*x1*x2^2 - 6*x2^3 - 6*x1^2 + 7*x1*x2 - x2^2 + 6*x1 - 7*x2 - 5",
+     True, (-3.0, 3.0, -3.0, 3.0), 128),
+    ("x1^2 + x2^2 - 1/16", False, (-1.0, 5.0, -2.0, 4.0), 256),
+    ("x1^2 + x2^2 - 1", False, (2.0, 3.0, 2.0, 3.0), 64),
+    ("x1^2 + x2^2 - 1/400", False, (-3.0, 3.0, -3.0, 3.0), 256),
+]
+
+
+class TestColumnCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(sign_columns())
+    def test_certified_sign_holds_at_every_node(self, case):
+        # Whenever _column_sign names a sign, every value of the column,
+        # from trace_implicit's own passes, has it: the mask it stands for
+        # is the mask of the values.
+        c0s, coeffs, ys = case
+        y_powers = [[yv ** b for yv in ys] for b in range(1, len(coeffs) + 1)]
+        ranges = _power_ranges(min(ys), max(ys), len(coeffs))
+        for c0 in c0s:
+            sign = _column_sign(c0, coeffs, ranges)
+            values = _column_values(c0, coeffs, ys, y_powers)
+            if sign > 0:
+                assert not any(v < 0 for v in values)
+            elif sign < 0:
+                assert all(v < 0 for v in values)
+
+    def test_near_miss_not_certified(self):
+        # c0 + y**2 over [-1, 1], with y = 0.0 a node: the least node value
+        # is c0 itself.  The margin is 2*gamma*S = 48 * 2**-53 * (1 + |c0|),
+        # so c0 = 2**-50 is positive but inside it and certifies nothing,
+        # and 2**-47 is outside it; likewise for -c0 - y**2.  The bounds are
+        # summed as the passes sum, so with a margin of 0 this column would
+        # certify as well, soundly here; the margin is what keeps the
+        # certificate sound where pow rounds a node's y**b off the ends'.
+        ys = grid_nodes(-1.0, 1.0, 16)
+        ranges = _power_ranges(min(ys), max(ys), 2)
+        for c0, c2, sign in ((2.0 ** -50, 1.0, 0), (-2.0 ** -50, -1.0, 0),
+                             (2.0 ** -47, 1.0, 1), (-2.0 ** -47, -1.0, -1)):
+            values = _column_values(c0, [0.0, c2], ys, [ys, [yv ** 2 for yv in ys]])
+            assert min(map(abs, values)) == abs(c0)
+            assert _column_sign(c0, [0.0, c2], ranges) == sign
+
+    def test_huge_scale_not_certified(self):
+        # A column with S of 1e300 or more, inf or NaN names no sign, so
+        # trace_implicit evaluates it and an overflowing value still raises.
+        ranges = _power_ranges(-1.0, 1.0, 1)
+        assert _column_sign(9e299, [0.0], ranges) == 1
+        assert _column_sign(-9e299, [0.0], ranges) == -1
+        for c0, c1 in ((1e300, 0.0), (-1e300, 0.0), (1.0, math.inf), (-1.0, -math.inf),
+                       (1.0, math.nan), (math.inf, 1.0), (math.nan, 0.0)):
+            assert _column_sign(c0, [c1], ranges) == 0
+
+    def test_certificate_moves_no_segment(self, monkeypatch):
+        # The certified columns' masks are those of their values, and their
+        # values, computed when a crossed cell reads them, are those of
+        # evaluating every column: the segments match, bit for bit, those
+        # traced with a certificate that certifies nothing.  The circle's
+        # counts pin the certificate firing: 172 of its 257 columns lie at
+        # |x| > 1, and 81 of its dual's certify; Fig. 9's 49 certified
+        # negative take the mask with bit grid set.
+        real = _column_sign
+        counts = []
+        for text, dual, window, grid in CERTIFIED_CASES:
+            p = parse(text)
+            if dual:
+                p = dual_curve(ImplicitCurve(p)).g
+            vp = Viewport(*window)
+            signs = Counter()
+
+            def counting(*args):
+                sign = real(*args)
+                signs[sign] += 1
+                return sign
+
+            monkeypatch.setattr(plot, "_column_sign", counting)
+            certified = trace_implicit(p, vp, grid)
+            monkeypatch.setattr(plot, "_column_sign", lambda *args: 0)
+            assert certified == trace_implicit(p, vp, grid)
+            counts.append((signs[1], signs[-1], len(certified)))
+        assert counts[0][:2] == (172, 0) and counts[1][:2] == (81, 0)
+        assert counts[2][:2] == (0, 49)
+        assert counts[9] == (65, 0, 0)  # the missed window: every column, no segment
 
 
 class TestClip:
