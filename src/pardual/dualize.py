@@ -1,11 +1,11 @@
 """Point-curve duals of planar algebraic curves in parallel coordinates.
 
 The centerpiece is dual_curve, the elimination pipeline: lift the curve
-to a homogeneous cone over the gradient directions (eta, xi, psi), landed
-in image coordinates via eta -> 1-x, xi -> x, psi -> -y and expanded once
-into its coefficients in (x1, x2); read both partial derivatives off those
-coefficients by Euler's rule; take their resultant (by evaluation and
-interpolation, see elimination); strip the y-power multiplier; normalize.
+to a cone over the paper's gradient directions (eta, xi, psi), written in
+image coordinates by eta -> 1-x, xi -> x, psi -> -y before any arithmetic
+and expanded once into its coefficients in (x1, x2); read both partials
+off those coefficients by Euler's rule; take their resultant (evaluated
+and interpolated, see elimination); strip the y power; normalize.
 A numeric sampling oracle (sample_curve + verify_duality) cross-checks
 the symbolic output against the fundamental point-image map, and a
 closed form covers the conic special case.
@@ -126,8 +126,8 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
 
     Steps: take f's primitive part, with coprime integer coefficients;
     expand the cone L(x1, x2) = F(psi*x1, psi*x2, -(eta*x1 + xi*x2)),
-    F being f homogenized with x3, once into its coefficients in (x1, x2)
-    under the image map eta -> 1-x, xi -> x, psi -> -y, and read both
+    F being f homogenized, once into its coefficients in (x1, x2) under
+    the image map eta -> 1-x, xi -> x, psi -> -y, and read both
     partial derivatives off them by Euler's rule (_partial_forms); take
     their resultant as binary forms in (x1, x2); strip the y^k multiplier
     (psi^k before the image map) and normalize to the primitive
@@ -150,8 +150,7 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
     from .elimination import resultant
     # c*f has f's dual: Res(cF1, cF2) = c^(2(n-1)) Res(F1, F2), a factor normalizing drops
     _, f = content_and_primitive(curve.f)
-    x = Polynomial.variable(X)
-    r = resultant(*_partial_forms(f, 1 - x, x, -Polynomial.variable(Y)))
+    r = resultant(*_partial_forms(f))
     if not r:
         raise DegenerateCurveError(
             "degenerate input: resultant vanished identically "
@@ -167,11 +166,11 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
     return DualCurve(g=g, source_degree=curve.n, psi_power_removed=k)
 
 
-def _partial_forms(f: Polynomial, eta: Polynomial, xi: Polynomial,
-                   psi: Polynomial) -> tuple[BinaryForm, BinaryForm]:
-    """dL/dx1 and dL/dx2 as binary forms, for the cone L(x1, x2) =
-    F(psi*x1, psi*x2, -(eta*x1 + xi*x2)) of f of degree n, F being f
-    homogenized with x3.
+def _partial_forms(f: Polynomial) -> tuple[BinaryForm, BinaryForm]:
+    """dL/dx1 and dL/dx2 as binary forms with coefficients in (x, y), for
+    the cone L(x1, x2) = F(psi*x1, psi*x2, -(eta*x1 + xi*x2)) of f of
+    degree n, F being f homogenized, under the image map eta -> 1-x,
+    xi -> x, psi -> -y.
 
     L is expanded once into its coefficients L_i of x1^i * x2^(n-i): a term
     c * x1^a * x2^b of f, with k = n - a - b, adds
@@ -180,6 +179,8 @@ def _partial_forms(f: Polynomial, eta: Polynomial, xi: Polynomial,
     and dL/dx2 has (n-i) * L_i, for i = 0..n-1.
     """
     n = total_degree(f)
+    x = Polynomial.variable(X)
+    eta, xi, psi = 1 - x, x, -Polynomial.variable(Y)
     neg_eta_powers, neg_xi_powers, psi_powers = (
         [p ** e for e in range(n + 1)] for p in (-eta, -xi, psi))
     # the coefficients of (-(eta*x1 + xi*x2))^k, ascending in x1

@@ -1,9 +1,9 @@
 """Sylvester resultants of binary forms in (x1, x2) whose coefficients are
-integer polynomials in the gradient directions (eta, xi, psi) or in the
-image coordinates (x, y).  The subresultant PRS runs over an integral
-domain, so rational coefficients are the caller's to clear: a form's
-resultant changes only by a scalar when the form is scaled, and
-dualize.dual_curve takes the curve's primitive part before the lift.
+integer polynomials in the image coordinates (x, y).  The subresultant PRS
+runs over an integral domain, so rational coefficients are the caller's to
+clear: a form's resultant changes only by a scalar when the form is
+scaled, and dualize.dual_curve takes the curve's primitive part before the
+lift.
 
 The resultant is the determinant of the classical Sylvester matrix: for
 forms F of degree n and G of degree m, m shifted rows of F's coefficients
@@ -12,12 +12,14 @@ coefficient down to the x2^deg one.  The degrees are the formal ones, so a
 vanishing x1^deg coefficient still counts.
 
 The resultant is not expanded symbolically; it is evaluated and
-interpolated.  Its degree in each variable v the coefficients use is at
-most D_v = m*maxdeg_v(F) + n*maxdeg_v(G), so its values on a tensor grid
-of D_v + 1 consecutive integers per variable, centred on zero to keep them
-small, determine it.  Its total degree is at most D = m*T(F) + n*T(G), T
-being the largest total degree of a form's coefficients, as each term of
-the determinant is a product of m coefficients of F and n of G.  A
+interpolated.  Its degree in x is at most D_x = m*deg_x(F) + n*deg_x(G),
+deg_x being the largest degree in x of a form's coefficients, and its
+degree in y at most D_y, alike.  So its values on the grid of D_x + 1
+consecutive integers along x times D_y + 1 along y, each run centred on
+zero to keep the values small, determine it; a variable no coefficient
+uses gets the one node 0.  Its total degree is at most D = m*T(F) +
+n*T(G), T being the largest total degree of a form's coefficients, as each
+term of the determinant is a product of m coefficients of F and n of G.  A
 coefficient is evaluated through its primitive part, its values over their
 positive gcd: a part that coefficients share is evaluated once, and each
 takes the part's values times its integer factor.  The two partial forms
@@ -27,40 +29,28 @@ node.  At each grid point the two forms have integer coefficients, and
 their resultant is taken without any matrix by the subresultant polynomial
 remainder sequence in O(nm) integer operations (W. S. Brown and J. F.
 Traub, On Euclid's algorithm and the theory of subresultants, JACM 18,
-1971).  The grid is taken one line of the last axis at a time, its nodes
-grouped by formal-degree rule up front, and one PRS loop steps each group
-in lockstep.  The values are interpolated one axis at a time in integer
-arithmetic, the last axis first, along the contiguous lines the PRS
-produced, each read in full.  On every later line the exponents already
-fixed sum to s, so its interpolant has degree at most D - s: at most its
-first D - s + 1 values are read, and an all-zero line is skipped.  The
-dual's resultant in (x, y) has the factor y^N, N = n(n - 1) for a degree-n
-curve, so a dense quintic's reads 41 * 41 = 1681 values along y and then,
-of the x lines, only those of y^20..y^40, 21 + 20 + ... + 1 = 231 values:
-1912 in all, against 3362 for both axes read in full.  Every division is
-exact by the theory; one that leaves a remainder raises ArithmeticError.
+1971).  The grid is taken one line along y at a time, its nodes grouped by
+formal-degree rule up front, and one PRS loop steps each group in
+lockstep.  The values are interpolated in integer arithmetic, first along
+the contiguous lines along y that the PRS produced, each read in full, and
+then along x.  The line along x of the y^j coefficients has degree at most
+D - j: at most its first D - j + 1 values are read, and an all-zero line is
+skipped.  The dual's resultant has the factor y^N, N = n(n - 1) for a
+degree-n curve, so a dense quintic's reads 41 * 41 = 1681 values along y
+and then, of the lines along x, only those of y^20..y^40, 21 + 20 + ... +
+1 = 231 values: 1912 in all, against 3362 for both axes read in full.
+Every division is exact by the theory; one that leaves a remainder raises
+ArithmeticError.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import factorial, gcd
 from typing import Iterator, NamedTuple, Sequence
 
-from .polyring import (
-    ETA,
-    PSI,
-    VAR_NAMES,
-    X,
-    XI,
-    Y,
-    Polynomial,
-    exponents,
-    monomial,
-    variables,
-)
+from .polyring import VAR_NAMES, X, Y, Polynomial, exponents, monomial, variables
 
-FORM_VARS = frozenset({ETA, XI, PSI, X, Y})
+FORM_VARS = frozenset({X, Y})
 
 
 class _BinaryFormFields(NamedTuple):
@@ -85,7 +75,7 @@ class BinaryForm(_BinaryFormFields):
             if stray:
                 names = ", ".join(VAR_NAMES[v] for v in sorted(stray))
                 raise ValueError(
-                    f"form coefficients may only use eta, xi, psi, x, y (found {names})")
+                    f"form coefficients may only use x, y (found {names})")
         return super().__new__(cls, degree, coeffs)
 
 
@@ -95,28 +85,27 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
     both forms must be an integer polynomial; a rational one raises
     ValueError.
 
-    The grid values come one line of the last axis at a time (one node
-    when no variable is used), and each line's resultants are taken
-    together by the subresultant PRS in lockstep.  They are interpolated
-    the last axis first; every later line is cut to the degree the total
-    degree bound m*T(f) + n*T(g) leaves it (T: the largest total degree of
-    a form's coefficients), and an all-zero line is skipped."""
+    The grid values come one line along y at a time, and each line's
+    resultants are taken together by the subresultant PRS in lockstep.
+    They are interpolated along y and then along x, where each line is cut
+    to the degree the total degree bound m*T(f) + n*T(g) leaves it (T: the
+    largest total degree of a form's coefficients), and an all-zero line
+    is skipped."""
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise ValueError("Sylvester matrix needs forms of degree at least 1")
     if any(type(c) is not int for p in f.coeffs + g.coeffs for c in p.terms.values()):
         raise ValueError("resultant needs forms with integer coefficients")
-    used = sorted(frozenset().union(*map(variables, f.coeffs + g.coeffs)))
-    coeffs = [{exponents(mono, used): c for mono, c in p.terms.items()}
+    coeffs = [{exponents(mono, (X, Y)): c for mono, c in p.terms.items()}
               for p in f.coeffs + g.coeffs]
 
-    def degree_bound(over: Sequence[int]) -> int:
+    def degree_bound(wx: int, wy: int) -> int:
         # each Sylvester term is a product of m coefficients of f and n of g
-        return m * _max_degree(coeffs[:n + 1], over) + n * _max_degree(coeffs[n + 1:], over)
+        return sum(k * max((wx * a + wy * b for coeff in part for a, b in coeff), default=0)
+                   for k, part in ((m, coeffs[:n + 1]), (n, coeffs[n + 1:])))
 
-    bounds = [degree_bound([axis]) for axis in range(len(used))]
-    total = degree_bound(range(len(used)))
-    axes = [range(-(bound // 2), bound - bound // 2 + 1) for bound in bounds]
+    xs, ys = (range(-(bound // 2), bound - bound // 2 + 1)
+              for bound in (degree_bound(1, 0), degree_bound(0, 1)))
 
     # each distinct primitive part is evaluated once, and a coefficient's line
     # is its part's line times the coefficient's integer factor
@@ -127,16 +116,13 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
         part = frozenset((exps, c // factor) for exps, c in coeff.items())
         factors.append((parts.setdefault(part, len(parts)), factor))
     values = []
-    for part_lines in zip(*(_grid_lines(dict(part), axes) for part in parts)):
+    for part_lines in zip(*(_grid_lines(dict(part), xs, ys) for part in parts)):
         line = [part_lines[i] if factor == 1 else [factor * v for v in part_lines[i]]
                 for i, factor in factors]
         values += _line_resultants(line[:n + 1], line[n + 1:])
-    _interpolate_grid(values, axes, total)
-    return Polynomial({
-        monomial(used, exps): value
-        for exps, value in zip(product(*(range(len(axis)) for axis in axes)), values)
-        if value
-    })
+    _interpolate_grid(values, xs, ys, degree_bound(1, 1))
+    return Polynomial({monomial((X, Y), divmod(k, len(ys))): value
+                       for k, value in enumerate(values) if value})
 
 
 def _line_resultants(f: Sequence[list[int]], g: Sequence[list[int]]) -> list[int]:
@@ -241,71 +227,50 @@ def _exact_line(values: list[int], divisors: list[int]) -> list[int]:
     return list(quotients)
 
 
-def _max_degree(coeffs: list[dict[tuple[int, ...], int]], over: Sequence[int]) -> int:
-    """The largest degree of a coefficient in the variables of the axes over."""
-    return max((sum(exps[axis] for axis in over) for coeff in coeffs for exps in coeff),
-               default=0)
-
-
-def _grid_lines(terms: dict[tuple[int, ...], int], axes: list[range]) -> Iterator[list[int]]:
-    """Values at every point of the tensor grid, one line of the last axis
-    at a time (the order of itertools.product), fixing one variable at a
-    time.  They are generated as consumed, so no grid of entry values is
-    ever stored."""
-    if not axes:
-        yield [terms.get((), 0)]
-        return
-    if len(axes) == 1:
-        dense = [0] * (max((e for e, in terms), default=0) + 1)
-        for (e,), coeff in terms.items():
-            dense[e] = coeff
+def _grid_lines(terms: dict[tuple[int, int], int], xs: range,
+                ys: range) -> Iterator[list[int]]:
+    """Values at every node of the grid, one line along y per node of x, in
+    the order of the x nodes.  They are generated as consumed, so no grid
+    of entry values is ever stored."""
+    size = max((b for _, b in terms), default=0) + 1
+    for t in xs:
+        dense = [0] * size  # the coefficients in y at x = t, ascending
+        for (a, b), coeff in terms.items():
+            dense[b] += coeff * t ** a
         dense.reverse()
         line = []
-        for t in axes[0]:
+        for v in ys:
             value = 0
             for coeff in dense:
-                value = value * t + coeff
+                value = value * v + coeff
             line.append(value)
         yield line
-        return
-    for t in axes[0]:
-        reduced: dict[tuple[int, ...], int] = {}
-        for exps, coeff in terms.items():
-            rest = exps[1:]
-            reduced[rest] = reduced.get(rest, 0) + coeff * t ** exps[0]
-        yield from _grid_lines(reduced, axes[1:])
 
 
-def _interpolate_grid(values: list[int], axes: list[range], total: int) -> None:
-    """In place, one axis at a time from the last: the values along each
-    line of the grid become the coefficients of their interpolant, so that
-    in the end the entry at grid index (i, j, ...) is the coefficient of
-    v1^i * v2^j * ...
+def _interpolate_grid(values: list[int], xs: range, ys: range, total: int) -> None:
+    """In place: the values along each line of the grid become the
+    coefficients of their interpolant, first along y and then along x, so
+    that in the end the entry at grid index (i, j) is the coefficient of
+    x^i * y^j.
 
-    The last axis runs along contiguous lines, each read in full.  Every
-    later line has the exponents of the axes after it fixed, summing to s,
-    so its interpolant has degree at most total - s: it is taken from its
-    first min(len - 1, total - s) + 1 values, and the rest become 0.  An
-    all-zero line is skipped, and a nonzero one with s > total raises
-    ArithmeticError."""
-    stride = 1
-    fixed = [0]  # the exponent sum of the later axes at each offset in a block
-    for axis in reversed(axes):
-        size = len(axis)
-        block = stride * size
-        for base in range(0, len(values), block):
-            for offset, s in enumerate(fixed):
-                line = slice(base + offset, base + block, stride)
-                points = values[line]
-                if not any(points):
-                    continue
-                if s > total:
-                    raise ArithmeticError(
-                        f"nonzero coefficients past the total degree bound {total}")
-                cut = size if stride == 1 else min(size, total - s + 1)
-                values[line] = _interpolate(points[:cut], axis.start) + [0] * (size - cut)
-        fixed = [e + s for e in range(size) for s in fixed]
-        stride = block
+    The lines along y are contiguous, and each is read in full.  The line
+    along x of the y^j coefficients has degree at most total - j: it is
+    taken from its first min(len(xs) - 1, total - j) + 1 values, and the
+    rest become 0.  An all-zero line is skipped, and a nonzero one with
+    j > total raises ArithmeticError."""
+    width = len(ys)
+    for start in range(0, len(values), width):
+        points = values[start:start + width]
+        if any(points):
+            values[start:start + width] = _interpolate(points, ys.start)
+    for j in range(width):
+        points = values[j::width]
+        if not any(points):
+            continue
+        if j > total:
+            raise ArithmeticError(f"nonzero coefficients past the total degree bound {total}")
+        cut = min(len(xs), total - j + 1)
+        values[j::width] = _interpolate(points[:cut], xs.start) + [0] * (len(xs) - cut)
 
 
 def _interpolate(values: list[int], start: int) -> list[int]:

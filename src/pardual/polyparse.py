@@ -6,7 +6,7 @@ printer.  The grammar below is the input format of the CLI:
     factor   := base ('^' uint)?
     base     := rational | var | '(' expr ')'
     rational := uint ('/' uint)?
-    var      := x1 | x2 | x3 | eta | xi | psi | x | y
+    var      := x1 | x2 | x | y
 
 One regular expression of ASCII classes tokenizes: uint is [0-9]+, a
 name is [A-Za-z][A-Za-z0-9_]*, and space, tab, CR and LF are insignificant

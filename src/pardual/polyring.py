@@ -1,8 +1,7 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-The variable set is a fixed eight-slot registry: the source-plane pair
-(x1, x2), the homogenizing variable x3, the gradient-direction triple
-(eta, xi, psi) and the image-plane pair (x, y).  Only this module knows
+The variable set is a fixed four-slot registry: the source-plane pair
+(x1, x2) and the image-plane pair (x, y).  Only this module knows
 how a monomial is stored (a sorted tuple of (variable, exponent) pairs
 with no zero exponents); every other module reads one with exponents()
 and builds one with monomial().  A polynomial maps monomials to nonzero
@@ -28,13 +27,13 @@ from typing import Mapping, Sequence
 
 VarId = int
 
-X1, X2, X3, ETA, XI, PSI, X, Y = range(8)
-VAR_NAMES = ("x1", "x2", "x3", "eta", "xi", "psi", "x", "y")
+X1, X2, X, Y = range(4)
+VAR_NAMES = ("x1", "x2", "x", "y")
 VAR_BY_NAME = {name: index for index, name in enumerate(VAR_NAMES)}
 NUM_VARS = len(VAR_NAMES)
 
 # Distance between the parallel axes x1 and x2 in the image plane (x, y):
-# the image map eta -> 1-x, xi -> x of dualize.dual_curve puts them at x = 0, 1.
+# the image map of dualize.dual_curve puts them at x = 0, 1.
 DEFAULT_SPACING = 1.0
 
 Monomial = tuple
@@ -75,7 +74,7 @@ def monomial(over: Sequence[VarId], exps: Sequence[int]) -> Monomial:
 
 def _mono_key(mono: Monomial) -> tuple:
     # Graded lexicographic: total degree first, ties by the exponent
-    # vector in registry order (x1 before x2 before ... before y).
+    # vector in registry order (x1 before x2 before x before y).
     return (mono_degree(mono), exponents(mono))
 
 

@@ -2,7 +2,6 @@
 the reference computations the library is checked against."""
 
 import math
-import random
 import struct
 from fractions import Fraction
 from functools import cache
@@ -21,7 +20,6 @@ from pardual.polyring import (
     Polynomial,
     exponents,
     monomial,
-    partial_derivative,
     sorted_terms,
     total_degree,
     variables,
@@ -73,6 +71,16 @@ def nonzero_polynomials(variables=(X1, X2), **kwargs):
     return polynomials(variables=variables, **kwargs).filter(bool)
 
 
+@st.composite
+def dense_curves(draw, max_degree=4):
+    """Every monomial of degree <= n, n in 2..max_degree, with a nonzero
+    coefficient in [-9, 9]."""
+    degree = draw(st.integers(2, max_degree))
+    coeffs = st.integers(-9, 9).filter(bool)
+    return Polynomial({monomial((X1, X2), (a, total - a)): draw(coeffs)
+                       for total in range(degree + 1) for a in range(total + 1)})
+
+
 all_variable_polynomials = polynomials(variables=tuple(range(NUM_VARS)), max_degree=6)
 
 
@@ -100,33 +108,34 @@ def as_binary_form(p):
         raise ValueError("the zero polynomial is not a binary form")
     degree = None
     grouped = {}
-    # the other variables in registry order; a stray x3 is kept for BinaryForm to refuse
-    others = [var for var in range(NUM_VARS) if var not in (X1, X2)]
     for mono, coeff in p.terms.items():
-        e1, e2, *rest = exponents(mono, (X1, X2, *others))
+        e1, e2, a, b = exponents(mono, (X1, X2, X, Y))
         total = e1 + e2
         if degree is None:
             degree = total
         elif total != degree:
             raise ValueError("polynomial is not homogeneous in (x1, x2)")
-        grouped.setdefault(e1, {})[monomial(others, rest)] = coeff
+        grouped.setdefault(e1, {})[monomial((X, Y), (a, b))] = coeff
     coeffs = tuple(Polynomial(grouped.get(i, {})) for i in range(degree + 1))
     return BinaryForm(degree, coeffs)
 
 
-def homogenize(p, new_var):
-    """Lift p to a homogeneous polynomial of its total degree using new_var."""
+def homogenized(p, u, v, w):
+    """F(u, v, w) for p in (x1, x2) of total degree n homogenized to
+    F(x1, x2, x3) = x3^n * p(x1/x3, x2/x3): each term c * x1^a * x2^b of p
+    gives c * u^a * v^b * w^(n-a-b)."""
     if not p:
         raise ValueError("cannot homogenize the zero polynomial")
-    if new_var in variables(p):
-        raise ValueError(f"homogenizing variable {VAR_NAMES[new_var]} already occurs")
+    stray = variables(p) - {X1, X2}
+    if stray:
+        raise ValueError(f"homogenized takes a polynomial in x1, x2 (found "
+                         f"{', '.join(VAR_NAMES[var] for var in sorted(stray))})")
     n = total_degree(p)
-    terms = {}
+    result = Polynomial()
     for mono, coeff in p.terms.items():
-        exps = list(exponents(mono))
-        exps[new_var] = n - sum(exps)
-        terms[monomial(range(NUM_VARS), exps)] = coeff
-    return Polynomial(terms)
+        a, b = exponents(mono, (X1, X2))
+        result = result + coeff * u ** a * v ** b * w ** (n - a - b)
+    return result
 
 
 def substitute(p, bindings):
@@ -228,92 +237,6 @@ def conic_determinant(m):
     return (m.a1 * (m.a2 * m.a3 - m.a6 ** 2)
             - m.a4 * (m.a4 * m.a3 - m.a6 * m.a5)
             + m.a5 * (m.a4 * m.a6 - m.a2 * m.a5))
-
-
-# -- the whole-curve certificate of a dual ------------------------------------
-
-CERTIFICATE_PRIME = 2 ** 61 - 1
-
-
-def _mod_prime(c):
-    return c.numerator * pow(c.denominator, -1, CERTIFICATE_PRIME) % CERTIFICATE_PRIME
-
-
-def _restrict(p, fixed, t, free):
-    """p at fixed = t, mod the prime: its coefficients in free, ascending,
-    one per exponent up to p's degree in free (the last may be zero)."""
-    coeffs = [0] * (max((exponents(mono, (free,))[0] for mono in p.terms), default=0) + 1)
-    for mono, c in p.terms.items():
-        a, b = exponents(mono, (fixed, free))
-        coeffs[b] = (coeffs[b] + _mod_prime(c) * pow(t, a, CERTIFICATE_PRIME)) % CERTIFICATE_PRIME
-    return coeffs
-
-
-def _remainder(a, m):
-    """a modulo the monic m, as len(m) - 1 coefficients, ascending."""
-    d = len(m) - 1
-    a = list(a) + [0] * max(0, d - len(a))
-    for i in range(len(a) - 1, d - 1, -1):
-        q = a[i]
-        if q:
-            for k in range(d + 1):
-                a[i - d + k] = (a[i - d + k] - q * m[k]) % CERTIFICATE_PRIME
-    return a[:d]
-
-
-def _times(a, b, m):
-    """a * b modulo the monic m."""
-    product = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                product[i + j] += u * v
-    return _remainder(product, m)
-
-
-def image_certificate(f, g, lines=3, seed=2004):
-    """Whether f divides N = sum c_ab * A^a * B^b * C^(D-a-b) over the terms
-    c_ab * x^a * y^b of g, D = deg g, where A = f2, B = x1*f1 + x2*f2 and
-    C = f1 + f2 make f's image map (x, y) = (A/C, B/C) at spacing 1.  For
-    irreducible f that holds exactly when the true dual divides g, and it
-    holds for any g if N is identically zero.
-
-    It is tested on seeded lines x1 = t (x2 = t if f has no x2), t in
-    GF(p) with p = 2^61 - 1, skipping a t where f's leading coefficient
-    vanishes: N must reduce to 0 modulo the monic f(t, x2).  A g that
-    fails passes a line only with probability about deg N / p.  Its
-    univariate arithmetic is its own; nothing here comes from the
-    resultant or its interpolation."""
-    f1, f2 = partial_derivative(f, X1), partial_derivative(f, X2)
-    images = (f2, Polynomial.variable(X1) * f1 + Polynomial.variable(X2) * f2, f1 + f2)
-    fixed, free = (X1, X2) if X2 in variables(f) else (X2, X1)
-    degree = total_degree(g)
-    terms = [(_mod_prime(c), *exponents(mono, (X, Y))) for mono, c in g.terms.items()]
-    rng = random.Random(seed)
-    checked = 0
-    while checked < lines:
-        t = rng.randrange(CERTIFICATE_PRIME)
-        m = _restrict(f, fixed, t, free)
-        if not m[-1]:
-            continue
-        inverse = pow(m[-1], -1, CERTIFICATE_PRIME)
-        m = [c * inverse % CERTIFICATE_PRIME for c in m]
-        one = _remainder([1], m)
-        powers = []  # powers[k][e] = (A, B or C)^e modulo m, e = 0..D
-        for image in images:
-            base = _remainder(_restrict(image, fixed, t, free), m)
-            row = [one]
-            for _ in range(degree):
-                row.append(_times(row[-1], base, m))
-            powers.append(row)
-        total = [0] * len(one)
-        for c, a, b in terms:
-            term = _times(_times(powers[0][a], powers[1][b], m), powers[2][degree - a - b], m)
-            total = [(u + c * v) % CERTIFICATE_PRIME for u, v in zip(total, term)]
-        if any(total):
-            return False
-        checked += 1
-    return True
 
 
 # -- marching squares, one cell at a time -------------------------------------

@@ -201,15 +201,13 @@ def test_criterion_07_euler_identity():
         # the partial forms dual_curve reads off the cone's coefficients
         # must be the partials of L = (x1*F1 + x2*F2)/n
         rng = random.Random(7)
-        x = Polynomial.variable(X)
         x1, x2 = Polynomial.variable(X1), Polynomial.variable(X2)
         done = 0
         while done < 200:
             curve = _random_dense_curve(rng, rng.randint(1, 4))
             if curve is None:
                 continue
-            f1, f2 = map(form_polynomial,
-                         _partial_forms(curve.f, 1 - x, x, -Polynomial.variable(Y)))
+            f1, f2 = map(form_polynomial, _partial_forms(curve.f))
             lifted = Fraction(1, curve.n) * (x1 * f1 + x2 * f2)
             assert partial_derivative(lifted, X1) == f1
             assert partial_derivative(lifted, X2) == f2

@@ -485,7 +485,7 @@ class TestCommandSurface:
         assert "degree" in err
 
     def test_term_budget_exit_2(self, capsys):
-        code, out, err = run(capsys, "dual", "(x1+x2+x3+eta+xi+psi+x+y+1)^10")
+        code, out, err = run(capsys, "dual", "(x1+x2+x+y+1)^16")
         assert code == 2
         assert out == ""
         assert "term count" in err
@@ -500,6 +500,11 @@ class TestCommandSurface:
         (["eval", "x1", "--at", "zebra=1"], "error: unknown variable 'zebra'\n"),
         (["eval", "x1", "--at", "x1=1/0"], "error: malformed rational: Fraction(1, 0)\n"),
         (["eval", "x1", "--at", "x1=1, x1=2"], "error: variable 'x1' is bound twice\n"),
+        # x3, eta, xi and psi are the paper's notation, not variables
+        (["eval", "--at", "x1=1,eta=1", "--", "x1"], "error: unknown variable 'eta'\n"),
+        (["eval", "--at", "eta=2,psi=3,x3=1", "--", "eta*psi + x3"],
+         "error: unknown variable 'eta' at offset 1\n"),
+        (["dual", "--", "x3*x1^2 + x2^2 - 1"], "error: unknown variable 'x3' at offset 1\n"),
     ])
     def test_input_error_line(self, argv, err, capsys):
         assert run(capsys, *argv) == (2, "", err)

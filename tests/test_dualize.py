@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from helpers import (
     as_binary_form,
     conic_determinant,
+    dense_curves,
     evaluate_float,
     exact_quotient,
-    homogenize,
-    image_certificate,
+    homogenized,
     monomials,
     substitute,
 )
+from modp import image_certificate
 from pardual.dualize import (
     ConicMatrix,
     CurveSamples,
@@ -37,13 +38,9 @@ from pardual.dualize import (
 )
 from pardual.polyparse import parse, print_poly
 from pardual.polyring import (
-    ETA,
-    PSI,
     X,
     X1,
     X2,
-    X3,
-    XI,
     Y,
     Polynomial,
     content_and_primitive,
@@ -194,17 +191,12 @@ class TestDualCurve:
             dual_curve(curve("x2^2"))
 
 
-# (eta, xi, psi) as variables, and under dual_curve's image map
-BINDINGS = {
-    "symbolic": tuple(map(Polynomial.variable, (ETA, XI, PSI))),
-    "image": (1 - Polynomial.variable(X), Polynomial.variable(X), -Polynomial.variable(Y)),
-}
-
-
-def reference_cone(f, eta, xi, psi):
-    """F(psi*x1, psi*x2, -(eta*x1 + xi*x2)) for f homogenized with x3 to F."""
-    x1, x2 = Polynomial.variable(X1), Polynomial.variable(X2)
-    return substitute(homogenize(f, X3), {X1: psi * x1, X2: psi * x2, X3: -(eta * x1 + xi * x2)})
+def reference_cone(f):
+    """F(psi*x1, psi*x2, -(eta*x1 + xi*x2)) for f homogenized to F, under
+    dual_curve's image map eta -> 1-x, xi -> x, psi -> -y."""
+    x1, x2, x = map(Polynomial.variable, (X1, X2, X))
+    eta, xi, psi = 1 - x, x, -Polynomial.variable(Y)
+    return homogenized(f, psi * x1, psi * x2, -(eta * x1 + xi * x2))
 
 
 @st.composite
@@ -231,35 +223,23 @@ class TestPartialForms:
     coefficients by Euler's rule; the reference differentiates the cone
     built term by term."""
 
-    def check(self, f, binding):
-        bindings = BINDINGS[binding]
-        cone = reference_cone(f, *bindings)
+    def check(self, f):
+        cone = reference_cone(f)
         partials = [partial_derivative(cone, var) for var in (X1, X2)]
         if all(partials):
-            assert _partial_forms(f, *bindings) == tuple(map(as_binary_form, partials))
+            assert _partial_forms(f) == tuple(map(as_binary_form, partials))
         else:
             with pytest.raises(DegenerateCurveError, match="vanished identically"):
-                _partial_forms(f, *bindings)
+                _partial_forms(f)
 
-    @given(lift_sources(), st.sampled_from(sorted(BINDINGS)))
-    def test_matches_reference(self, f, binding):
-        self.check(f, binding)
+    @given(lift_sources())
+    def test_matches_reference(self, f):
+        self.check(f)
 
-    @pytest.mark.parametrize("binding", sorted(BINDINGS))
     @pytest.mark.parametrize("source", [FIG9_SOURCE, FIG8_SOURCE, SEC32_SOURCE, CIRCLE_SOURCE,
                                         "x2^2", "x1^3"])
-    def test_paper_curves(self, source, binding):
-        self.check(parse(source), binding)
-
-
-@st.composite
-def dense_curves(draw):
-    """Every monomial of degree <= n, n in 2..4, with a nonzero coefficient
-    in [-9, 9]."""
-    degree = draw(st.integers(2, 4))
-    coeffs = st.integers(-9, 9).filter(bool)
-    return Polynomial({monomial((X1, X2), (a, total - a)): draw(coeffs)
-                       for total in range(degree + 1) for a in range(total + 1)})
+    def test_paper_curves(self, source):
+        self.check(parse(source))
 
 
 XY = Polynomial.variable(X) * Polynomial.variable(Y)
@@ -298,9 +278,9 @@ class TestImageCertificate:
 
 
 def collineation(f):
-    """F(y, x + y - 1, x), normalized like a dual, for f homogenized by x3 to F."""
+    """F(y, x + y - 1, x), normalized like a dual, for f homogenized to F."""
     x, y = Polynomial.variable(X), Polynomial.variable(Y)
-    return content_and_primitive(substitute(homogenize(f, X3), {X1: y, X2: x + y - 1, X3: x}))[1]
+    return content_and_primitive(homogenized(f, y, x + y - 1, x))[1]
 
 
 def dual_of_dual(f):

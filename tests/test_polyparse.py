@@ -64,6 +64,15 @@ class TestParseErrors:
         assert "foo" in str(err.value)
         assert err.value.position == 6
 
+    @pytest.mark.parametrize("name", ["x3", "eta", "xi", "psi"])
+    def test_paper_notation_is_not_a_variable(self, name):
+        # the variables are x1, x2, x and y; the paper's homogenizing x3 and
+        # gradient directions (eta, xi, psi) are notation only
+        with pytest.raises(ParseError, match=f"unknown variable '{name}' at offset 1"):
+            parse(name)
+        with pytest.raises(ParseError, match=f"unknown variable '{name}' at offset 6"):
+            parse(f"x1 + {name}*x2")
+
     def test_trailing_operator(self):
         with pytest.raises(ParseError) as err:
             parse("x1 +")
@@ -88,23 +97,27 @@ class TestParseErrors:
             assert err.value.position == position
 
     def test_term_budget(self, monkeypatch):
-        nine = "(x1+x2+x3+eta+xi+psi+x+y+1)"
-        assert len(parse(f"{nine}^6").terms) == 3003
-        assert 2145 <= MAX_TERMS < 6435  # (x1+x2+1)^64 parses, nine^7 does not
+        five = "(x1+x2+x+y+1)"  # every variable: five^k has C(k + 4, 4) terms
+        assert 3876 <= MAX_TERMS < 4845  # five^15 parses, five^16 does not
         # refused before expanding: the power and the big product never run
         multiply = Polynomial.__mul__
+        sizes = []
 
         def small_products_only(a, b):
-            assert len(a.terms) * len(b.terms) <= 9 * 3003, "expanded past the budget"
-            return multiply(a, b)
+            assert len(a.terms) * len(b.terms) <= 5 * 3876, "expanded past the budget"
+            product = multiply(a, b)
+            sizes.append(len(product.terms))
+            return product
 
         monkeypatch.setattr(Polynomial, "__mul__", small_products_only)
-        for text, position in ((f"{nine}^10", 29), (f"{nine}^5*{nine}^5", 30),
-                               ("*".join([nine] * 10), 168)):
+        for text, position in ((f"{five}^16", 15), (f"{five}^8*{five}^8", 16),
+                               ("*".join([five] * 16), 210)):
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert "term count" in str(err.value)
             assert err.value.position == position
+        # the long product expanded its first fifteen factors, five^15, in full
+        assert sizes[-1] == 3876
 
     def test_coefficient_budget(self, monkeypatch):
         assert parse("(10^64)^60") == 10 ** 3840

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_variable_polynomials,
     evaluate_float,
-    homogenize,
+    homogenized,
     monomial_table,
     monomials,
     nonzero_polynomials,
@@ -19,15 +19,12 @@ from helpers import (
 from pardual.dualize import DegenerateCurveError, ImplicitCurve, dual_curve
 from pardual.polyparse import parse
 from pardual.polyring import (
-    ETA,
     NUM_VARS,
     ONE_MONOMIAL,
-    PSI,
+    VAR_NAMES,
     X,
     X1,
     X2,
-    X3,
-    XI,
     Y,
     FloatForm,
     Polynomial,
@@ -93,88 +90,93 @@ class TestDerivative:
         assert partial_derivative(p, X1) == parse("3*x1^2 - 2*x1")
 
     def test_binary_form_gradient(self):
-        # conic-shaped form with eta, xi, psi standing in for the c_i
-        form = parse("eta*x1^2 + 2*xi*x1*x2 + psi*x2^2")
-        assert partial_derivative(form, X1) == parse("2*eta*x1 + 2*xi*x2")
-        assert partial_derivative(form, X2) == parse("2*xi*x1 + 2*psi*x2")
+        # conic-shaped form with x, y, x*y standing in for the c_i
+        form = parse("x*x1^2 + 2*y*x1*x2 + x*y*x2^2")
+        assert partial_derivative(form, X1) == parse("2*x*x1 + 2*y*x2")
+        assert partial_derivative(form, X2) == parse("2*y*x1 + 2*x*y*x2")
 
     def test_constant(self):
         assert partial_derivative(parse("5"), X2) == Polynomial()
 
 
+VAR_X1, VAR_X2, VAR_Y = map(Polynomial.variable, (X1, X2, Y))
+
+
 class TestHomogenize:
+    # homogenized(f, x1, x2, y) is f homogenized, with y standing in for x3
     def test_cubic_paper_form(self):
         f = parse("x1^3 - x1^2 - x2^2 + x2 - 1")
-        expected = parse("x1^3 - x1^2*x3 - x2^2*x3 + x2*x3^2 - x3^3")
-        assert homogenize(f, X3) == expected
+        expected = parse("x1^3 - x1^2*y - x2^2*y + x2*y^2 - y^3")
+        assert homogenized(f, VAR_X1, VAR_X2, VAR_Y) == expected
 
     def test_conic_shape(self):
         f = parse("2*x1^2 + 4*x1*x2 + 6*x1 + 3*x2^2 + 10*x2 + 7")
-        expected = parse("2*x1^2 + 4*x1*x2 + 6*x1*x3 + 3*x2^2 + 10*x2*x3 + 7*x3^2")
-        assert homogenize(f, X3) == expected
+        expected = parse("2*x1^2 + 4*x1*x2 + 6*x1*y + 3*x2^2 + 10*x2*y + 7*y^2")
+        assert homogenized(f, VAR_X1, VAR_X2, VAR_Y) == expected
 
     def test_already_homogeneous(self):
         p = parse("x1^2 + x2^2")
-        assert homogenize(p, X3) == p
+        assert homogenized(p, VAR_X1, VAR_X2, VAR_Y) == p
 
     def test_variable_present_rejected(self):
-        with pytest.raises(ValueError):
-            homogenize(parse("x1 + x3"), X3)
+        with pytest.raises(ValueError, match="found y"):
+            homogenized(parse("x1 + y"), VAR_X1, VAR_X2, VAR_Y)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            homogenize(Polynomial(), X3)
+            homogenized(Polynomial(), VAR_X1, VAR_X2, VAR_Y)
 
     @given(nonzero_polynomials())
     def test_round_trip(self, p):
-        assert substitute(homogenize(p, X3), {X3: Polynomial.constant(1)}) == p
+        assert homogenized(p, VAR_X1, VAR_X2, 1) == p
 
     @given(nonzero_polynomials())
     def test_homogeneous_and_degree_preserving(self, p):
-        lifted = homogenize(p, X3)
+        lifted = homogenized(p, VAR_X1, VAR_X2, VAR_Y)
         assert {mono_degree(mono) for mono in lifted.terms} == {total_degree(p)}
 
     @given(nonzero_polynomials())
     def test_euler_identity(self, p):
-        lifted = homogenize(p, X3)
+        lifted = homogenized(p, VAR_X1, VAR_X2, VAR_Y)
         n = total_degree(lifted)
         total = sum(
             (Polynomial.variable(v) * partial_derivative(lifted, v)
-             for v in (X1, X2, X3)),
+             for v in (X1, X2, Y)),
             Polynomial())
         assert total == n * lifted
 
 
 class TestDehomogenize:
-    # dehomogenizing is substituting x3 = 1
+    # dehomogenizing is substituting 1 for the homogenizing variable, here y
     def test_cubic(self):
-        p = parse("x1^3 - x1^2*x3 - x2^2*x3 + x2*x3^2 - x3^3")
-        assert substitute(p, {X3: Polynomial.constant(1)}) == parse("x1^3 - x1^2 - x2^2 + x2 - 1")
+        p = parse("x1^3 - x1^2*y - x2^2*y + x2*y^2 - y^3")
+        assert substitute(p, {Y: Polynomial.constant(1)}) == parse("x1^3 - x1^2 - x2^2 + x2 - 1")
 
     def test_pure_power(self):
-        assert substitute(parse("x3^2"), {X3: Polynomial.constant(1)}) == parse("1")
+        assert substitute(parse("y^2"), {Y: Polynomial.constant(1)}) == parse("1")
 
 
 class TestSubstitute:
     def test_rescale(self):
         p = parse("x1*x2")
-        psi = Polynomial.variable(PSI)
-        out = substitute(p, {X1: psi * Polynomial.variable(X1),
-                             X2: psi * Polynomial.variable(X2)})
-        assert out == parse("psi^2*x1*x2")
+        out = substitute(p, {X1: VAR_Y * VAR_X1, X2: VAR_Y * VAR_X2})
+        assert out == parse("y^2*x1*x2")
 
     def test_linear_replacement(self):
-        out = substitute(parse("x3"), {X3: parse("-(eta*x1 + xi*x2)")})
-        assert out == parse("-eta*x1 - xi*x2")
+        # the cone's third argument under the image map, for y in place of x3
+        out = substitute(parse("y"), {Y: parse("-((1 - x)*x1 + x*x2)")})
+        assert out == parse("-x1 + x*x1 - x*x2")
 
     def test_image_substitution(self):
-        r = parse("eta^2 + xi^2 - psi^2")
-        out = substitute(r, {ETA: parse("1 - x"), XI: parse("x"), PSI: parse("-y")})
+        # the circle's dual form eta^2 + xi^2 - psi^2, with x1, x2, y for
+        # eta, xi, psi, under the image map eta -> 1 - x, xi -> x, psi -> -y
+        r = parse("x1^2 + x2^2 - y^2")
+        out = substitute(r, {X1: parse("1 - x"), X2: parse("x"), Y: parse("-y")})
         assert out == parse("2*x^2 - y^2 - 2*x + 1")
 
-    @given(polynomials(variables=(X1, X2, X3)))
+    @given(polynomials(variables=(X1, X2, Y)))
     def test_identity_bindings(self, p):
-        identity = {v: Polynomial.variable(v) for v in (X1, X2, X3)}
+        identity = {v: Polynomial.variable(v) for v in (X1, X2, Y)}
         assert substitute(p, identity) == p
 
 
@@ -189,15 +191,15 @@ class TestDegrees:
 
 class TestContentPrimitive:
     def test_common_factor(self):
-        content, primitive = content_and_primitive(parse("4*psi^2*eta^2 + 8*psi^2*xi^2"))
+        content, primitive = content_and_primitive(parse("4*y^2*x^2 + 8*y^2*x1^2"))
         assert content == 4
-        assert primitive == parse("psi^2*eta^2 + 2*psi^2*xi^2")
+        assert primitive == parse("y^2*x^2 + 2*y^2*x1^2")
 
     def test_negative_leading_flips(self):
-        p = parse("-3*psi^6") * parse("eta^2 + 2")
+        p = parse("-3*y^6") * parse("x^2 + 2")
         content, primitive = content_and_primitive(p)
         assert content == -3
-        assert primitive == parse("psi^6*eta^2 + 2*psi^6")
+        assert primitive == parse("y^6*x^2 + 2*y^6")
 
     def test_primitive_input(self):
         content, primitive = content_and_primitive(parse("x1^2 - x2"))
@@ -282,7 +284,14 @@ class TestRingAxioms:
 
     @given(all_variable_polynomials)
     def test_variables_subset_of_registry(self, p):
-        assert all(0 <= v < 8 for v in variables(p))
+        assert all(0 <= v < NUM_VARS for v in variables(p))
+
+    def test_registry_is_the_two_planes(self):
+        # the source pair and the image pair; the paper's x3, eta, xi and psi
+        # are notation, not variables
+        assert VAR_NAMES == ("x1", "x2", "x", "y") and (X1, X2, X, Y) == (0, 1, 2, 3)
+        with pytest.raises(ValueError, match="outside the registry"):
+            Polynomial.variable(NUM_VARS)
 
 
 class TestMonomialFormat:
@@ -292,7 +301,7 @@ class TestMonomialFormat:
     def test_absent_variables_read_zero(self):
         mono = monomial((X1, Y), (2, 3))
         assert exponents(mono, (Y, X2, X1)) == (3, 0, 2)
-        assert exponents(mono) == (2, 0, 0, 0, 0, 0, 0, 3)
+        assert exponents(mono) == (2, 0, 0, 3)
         assert monomial((X1, X2), (0, 0)) == ONE_MONOMIAL
         assert exponents(ONE_MONOMIAL, (X,)) == (0,)
 
@@ -336,14 +345,14 @@ class TestMonomialStrategy:
         assert find(strategy, lambda mono: True, settings=settings(database=None)) == ONE_MONOMIAL
 
 
-# eight numerators over one denominator: cheaper to draw than eight fractions
+# one numerator per variable over one denominator: cheaper to draw than a fraction each
 rational_points = st.tuples(
     st.lists(st.integers(-15, 15), min_size=NUM_VARS, max_size=NUM_VARS), st.integers(1, 5),
 ).map(lambda draw: {var: Fraction(n, draw[1]) for var, n in enumerate(draw[0])})
 
 
 class TestEvaluationHomomorphism:
-    """Exact evaluation at a point of all eight variables maps each ring
+    """Exact evaluation at a point of all four variables maps each ring
     operation onto the same operation on the values.  TestRingAxioms only
     compares results with each other, so an exponent slip that every
     operation makes alike passes it but not this."""
@@ -357,10 +366,10 @@ class TestEvaluationHomomorphism:
         assert evaluate_exact(p ** k, point) == p_at ** k
         assert (evaluate_exact(substitute(p, {var: q}), point)
                 == evaluate_exact(p, point | {var: q_at}))
-        # homogenize needs a polynomial without x3: p's terms free of it
-        r = Polynomial({mono: c for mono, c in p.terms.items() if not exponents(mono, (X3,))[0]})
+        # homogenized takes a polynomial in x1, x2: p's terms free of x and y
+        r = Polynomial({mono: c for mono, c in p.terms.items() if not any(exponents(mono, (X, Y)))})
         if r:
-            assert (evaluate_exact(homogenize(r, X3), point | {X3: 1})
+            assert (evaluate_exact(homogenized(r, VAR_X1, VAR_X2, VAR_Y), point | {Y: 1})
                     == evaluate_exact(r, point))
 
 
