@@ -3,9 +3,12 @@
 The centerpiece is dual_curve, the elimination pipeline: lift the curve
 to a cone over the paper's gradient directions (eta, xi, psi), written in
 image coordinates by eta -> 1-x, xi -> x, psi -> -y before any arithmetic
-and expanded once into its coefficients in (x1, x2); read both partials
-off those coefficients by Euler's rule; take their resultant (evaluated
-and interpolated, see elimination); strip the y power; normalize.
+and expanded once, with integer binomials, into its coefficients in
+(x1, x2); read both partials off those coefficients by Euler's rule;
+take their resultant (evaluated and interpolated, see elimination);
+strip the y power; normalize.  Polynomial appears only at the edges of
+that path, f going in and the resultant coming out: in between, a
+coefficient in (x, y) is a map {(i, j): coefficient of x^i * y^j}.
 A numeric sampling oracle (sample_curve + verify_duality) cross-checks
 the symbolic output against the fundamental point-image map, and a
 closed form covers the conic special case.
@@ -42,7 +45,7 @@ F_TOL_REL = 1e-12          # on-curve residual, relative to local term scale
 SINGULAR_TOL = 1e-9        # minimum gradient norm for a usable sample, relative to _gradient_scale
 DENOM_TOL = 1e-9           # slope-1 tangents map to ideal points, relative to _gradient_scale
 RESIDUAL_THRESHOLD = 1e-6  # verification pass mark
-MAX_SOURCE_DEGREE = 12     # x1^12 + x2^12 - 1 takes ~28 s on 2 cores; each degree more ~2.5x
+MAX_SOURCE_DEGREE = 12     # x1^12 + x2^12 - 1: 23.7-26.7 s in process, 2 cores; each degree ~2.5x
 
 _SAMPLES_PER_LINE = 64
 _BISECT_STEPS = 80
@@ -128,10 +131,12 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
     expand the cone L(x1, x2) = F(psi*x1, psi*x2, -(eta*x1 + xi*x2)),
     F being f homogenized, once into its coefficients in (x1, x2) under
     the image map eta -> 1-x, xi -> x, psi -> -y, and read both
-    partial derivatives off them by Euler's rule (_partial_forms); take
-    their resultant as binary forms in (x1, x2); strip the y^k multiplier
-    (psi^k before the image map) and normalize to the primitive
-    positive-leading representative.
+    partial derivatives off them by Euler's rule (_partial_forms), as
+    binary forms whose coefficients are maps of exponent pairs; take
+    their resultant R, a Polynomial in (x, y).  R's exponent pairs are
+    read once for k, the least exponent of y (psi^k before the image
+    map), the content and the sign of the graded-lex leading term, and
+    g = R / y^k, primitive and positive-leading, is built in one step.
 
     Applying the image map first is sound: substitution is a ring
     homomorphism, so it commutes with the expansion, with the partial
@@ -155,14 +160,17 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
         raise DegenerateCurveError(
             "degenerate input: resultant vanished identically "
             "(reducible curve or common factor of partials)")
-    powers = [exponents(mono, (X, Y)) for mono in r.terms]
-    k = min(b for _, b in powers)
-    stripped = Polynomial({_image_monomial(a, b - k): coeff
-                           for (a, b), coeff in zip(powers, r.terms.values())})
-    _, g = content_and_primitive(stripped)
-    if total_degree(g) == 0:
+    pairs = [exponents(mono, (X, Y)) for mono in r.terms]
+    coeffs = list(r.terms.values())
+    k = min(b for _, b in pairs)
+    # the graded-lex leading term of x^a * y^(b-k): the largest (a + b, a)
+    top, lead = max(zip(pairs, coeffs), key=lambda term: (sum(term[0]), term[0]))
+    if sum(top) == k:
         raise DegenerateCurveError(
             "the dual collapsed to a constant (reducible or degenerate input)")
+    content = math.gcd(*coeffs) if lead > 0 else -math.gcd(*coeffs)
+    g = Polynomial({_image_monomial(a, b - k): coeff // content
+                    for (a, b), coeff in zip(pairs, coeffs)})
     return DualCurve(g=g, source_degree=curve.n, psi_power_removed=k)
 
 
@@ -172,28 +180,29 @@ def _partial_forms(f: Polynomial) -> tuple[BinaryForm, BinaryForm]:
     degree n, F being f homogenized, under the image map eta -> 1-x,
     xi -> x, psi -> -y.
 
-    L is expanded once into its coefficients L_i of x1^i * x2^(n-i): a term
-    c * x1^a * x2^b of f, with k = n - a - b, adds
-    c * psi^(a+b) * C(k, l) * (-eta)^l * (-xi)^(k-l) to L_(a+l), for
-    l = 0..k.  By Euler's rule dL/dx1 has the coefficients (i+1) * L_(i+1)
-    and dL/dx2 has (n-i) * L_i, for i = 0..n-1.
+    L is expanded once, with integer binomials, into its coefficients L_i
+    of x1^i * x2^(n-i), each a map {(e, s): coefficient of x^e * y^s}: a
+    term c * x1^a * x2^b of f, with k = n - a - b and s = a + b, adds
+    c * (-y)^s * C(k, l) * (x-1)^l * (-x)^(k-l) to L_(a+l), for l = 0..k.
+    No Polynomial is multiplied, and a rational f stays exact.  By Euler's
+    rule dL/dx1 has the coefficients (i+1) * L_(i+1) and dL/dx2 has
+    (n-i) * L_i, for i = 0..n-1.
     """
     n = total_degree(f)
-    x = Polynomial.variable(X)
-    eta, xi, psi = 1 - x, x, -Polynomial.variable(Y)
-    neg_eta_powers, neg_xi_powers, psi_powers = (
-        [p ** e for e in range(n + 1)] for p in (-eta, -xi, psi))
-    # the coefficients of (-(eta*x1 + xi*x2))^k, ascending in x1
-    lines = [[math.comb(k, l) * neg_eta_powers[l] * neg_xi_powers[k - l] for l in range(k + 1)]
-             for k in range(n + 1)]
-    cone = [Polynomial()] * (n + 1)
+    # lines[k][l]: C(k, l) * (x-1)^l * (-x)^(k-l) as (e, coefficient of x^e) pairs,
+    # its x^(k-l+i) term being C(k, l) * C(l, i) * (-1)^(k-i)
+    lines = [[[(k - l + i, math.comb(k, l) * math.comb(l, i) * (-1) ** (k - i))
+               for i in range(l + 1)] for l in range(k + 1)] for k in range(n + 1)]
+    cone = [{} for _ in range(n + 1)]
     for mono, coeff in f.terms.items():
         a, b = exponents(mono, (X1, X2))
-        scale = coeff * psi_powers[a + b]
-        for l, line in enumerate(lines[n - a - b]):
-            cone[a + l] = cone[a + l] + scale * line
-    d1 = tuple((i + 1) * cone[i + 1] for i in range(n))
-    d2 = tuple((n - i) * cone[i] for i in range(n))
+        s = a + b
+        scale = -coeff if s % 2 else coeff  # c * (-1)^s, the sign of (-y)^s
+        for terms, line in zip(cone[a:], lines[n - s]):  # line l adds to L_(a+l)
+            for e, c in line:
+                terms[e, s] = terms.get((e, s), 0) + scale * c
+    d1 = tuple({pair: (i + 1) * c for pair, c in cone[i + 1].items() if c} for i in range(n))
+    d2 = tuple({pair: (n - i) * c for pair, c in cone[i].items() if c} for i in range(n))
     if not any(d1) or not any(d2):
         raise DegenerateCurveError("a partial derivative vanished identically")
     from .elimination import BinaryForm
@@ -206,8 +215,12 @@ _IMAGE_MONOMIALS: dict[tuple[int, int], Monomial] = {}
 def _image_monomial(a: int, b: int) -> Monomial:
     """The monomial x^a * y^b, one shared object per exponent pair (at most
     (n(n-1) + 1)^2 of them for duals of degree-n curves), so that duals
-    kept alive together do not each hold their own copies."""
-    return _IMAGE_MONOMIALS.setdefault((a, b), monomial((X, Y), (a, b)))
+    kept alive together do not each hold their own copies.  A pair seen
+    before costs one lookup and builds no monomial."""
+    mono = _IMAGE_MONOMIALS.get((a, b))
+    if mono is None:
+        mono = _IMAGE_MONOMIALS[a, b] = monomial((X, Y), (a, b))
+    return mono
 
 
 class ConicMatrix(NamedTuple):

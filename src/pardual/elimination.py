@@ -1,9 +1,12 @@
 """Sylvester resultants of binary forms in (x1, x2) whose coefficients are
-integer polynomials in the image coordinates (x, y).  The subresultant PRS
-runs over an integral domain, so rational coefficients are the caller's to
-clear: a form's resultant changes only by a scalar when the form is
-scaled, and dualize.dual_curve takes the curve's primitive part before the
-lift.
+integer polynomials in the image coordinates (x, y), each held as a map
+{(i, j): coefficient of x^i * y^j}.  dualize._partial_forms builds those
+maps directly and resultant reads them as they are, so a Polynomial meets
+the dual path only at its edges: the curve that goes in and the resultant
+that comes out.  The subresultant PRS runs over an integral domain, so
+rational coefficients are the caller's to clear: a form's resultant
+changes only by a scalar when the form is scaled, and dualize.dual_curve
+takes the curve's primitive part before the lift.
 
 The resultant is the determinant of the classical Sylvester matrix: for
 forms F of degree n and G of degree m, m shifted rows of F's coefficients
@@ -48,42 +51,52 @@ from __future__ import annotations
 from math import factorial, gcd
 from typing import Iterator, NamedTuple, Sequence
 
-from .polyring import VAR_NAMES, X, Y, Polynomial, exponents, monomial, variables
+from .polyring import X, Y, Coefficient, Polynomial, monomial
 
-FORM_VARS = frozenset({X, Y})
+# a form coefficient: {(i, j): nonzero coefficient of x^i * y^j}
+Terms = dict[tuple[int, int], Coefficient]
 
 
 class _BinaryFormFields(NamedTuple):
     degree: int
-    coeffs: tuple[Polynomial, ...]
+    coeffs: tuple[Terms, ...]
 
 
 class BinaryForm(_BinaryFormFields):
-    """Homogeneous form in (x1, x2); coeffs[i] multiplies x1^i * x2^(degree-i)."""
+    """Homogeneous form in (x1, x2); coeffs[i] multiplies x1^i * x2^(degree-i)
+    and maps each exponent pair (i, j) of x^i * y^j to its nonzero
+    coefficient, an empty map being the zero coefficient.  A pair map names
+    only x and y, so no coefficient can hold x1 or x2.  The lift builds the
+    maps directly, so no Polynomial enters a form on the dual path."""
 
     __slots__ = ()
 
-    def __new__(cls, degree: int, coeffs: tuple[Polynomial, ...]):
+    def __new__(cls, degree: int, coeffs: tuple[Terms, ...]):
         if degree < 0:
             raise ValueError("binary form degree must be non-negative")
         if len(coeffs) != degree + 1:
             raise ValueError("binary form needs degree + 1 coefficients")
+        if not all(map(_is_terms, coeffs)):
+            raise ValueError("a form coefficient maps pairs (i, j) of non-negative "
+                             "integers to nonzero coefficients of x^i * y^j")
         if not any(coeffs):
             raise ValueError("binary form must have a nonzero coefficient")
-        for coeff in coeffs:
-            stray = variables(coeff) - FORM_VARS
-            if stray:
-                names = ", ".join(VAR_NAMES[v] for v in sorted(stray))
-                raise ValueError(
-                    f"form coefficients may only use x, y (found {names})")
         return super().__new__(cls, degree, coeffs)
 
 
+def _is_terms(coeff: object) -> bool:
+    """coeff is a dict from pairs of non-negative ints to nonzero values."""
+    return type(coeff) is dict and all(
+        type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
+        and pair[0] >= 0 and pair[1] >= 0 and value for pair, value in coeff.items())
+
+
 def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
-    """Determinant of the Sylvester matrix; identically zero exactly when
-    the forms share a common nonconstant factor.  Every coefficient of
-    both forms must be an integer polynomial; a rational one raises
-    ValueError.
+    """Determinant of the Sylvester matrix, as a Polynomial in (x, y): the
+    dual path's first Polynomial since the curve.  It is identically zero
+    exactly when the forms share a common nonconstant factor.  The forms'
+    pair maps are read as they are, and every coefficient in them must be
+    an int; a rational one raises ValueError.
 
     The grid values come one line along y at a time, and each line's
     resultants are taken together by the subresultant PRS in lockstep.
@@ -94,10 +107,9 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise ValueError("Sylvester matrix needs forms of degree at least 1")
-    if any(type(c) is not int for p in f.coeffs + g.coeffs for c in p.terms.values()):
+    coeffs = f.coeffs + g.coeffs
+    if any(type(c) is not int for coeff in coeffs for c in coeff.values()):
         raise ValueError("resultant needs forms with integer coefficients")
-    coeffs = [{exponents(mono, (X, Y)): c for mono, c in p.terms.items()}
-              for p in f.coeffs + g.coeffs]
 
     def degree_bound(wx: int, wy: int) -> int:
         # each Sylvester term is a product of m coefficients of f and n of g

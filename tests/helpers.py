@@ -102,8 +102,27 @@ def evaluate_float(p, point):
     return total
 
 
+def coefficient_map(p):
+    """p, a polynomial in (x, y), as a form coefficient {(i, j): coefficient of x^i * y^j}."""
+    stray = variables(p) - {X, Y}
+    if stray:
+        raise ValueError(f"a form coefficient takes a polynomial in x, y (found "
+                         f"{', '.join(VAR_NAMES[var] for var in sorted(stray))})")
+    return {exponents(mono, (X, Y)): coeff for mono, coeff in p.terms.items()}
+
+
+def coefficient_polynomial(coeff):
+    """A form coefficient as a polynomial in (x, y): the inverse of coefficient_map."""
+    return Polynomial({monomial((X, Y), pair): c for pair, c in coeff.items()})
+
+
+def binary_form(degree, coeffs):
+    """BinaryForm(degree, coeffs) for coefficients given as polynomials in (x, y)."""
+    return BinaryForm(degree, tuple(map(coefficient_map, coeffs)))
+
+
 def as_binary_form(p):
-    """Read p as a binary form in (x1, x2) with coefficients in the other variables."""
+    """Read p as a binary form in (x1, x2) with coefficients in (x, y)."""
     if not p:
         raise ValueError("the zero polynomial is not a binary form")
     degree = None
@@ -115,9 +134,8 @@ def as_binary_form(p):
             degree = total
         elif total != degree:
             raise ValueError("polynomial is not homogeneous in (x1, x2)")
-        grouped.setdefault(e1, {})[monomial((X, Y), (a, b))] = coeff
-    coeffs = tuple(Polynomial(grouped.get(i, {})) for i in range(degree + 1))
-    return BinaryForm(degree, coeffs)
+        grouped.setdefault(e1, {})[a, b] = coeff
+    return BinaryForm(degree, tuple(grouped.get(i, {}) for i in range(degree + 1)))
 
 
 def homogenized(p, u, v, w):
@@ -181,25 +199,26 @@ def exact_quotient(h, p):
 def form_polynomial(form):
     """The binary form as a polynomial: the inverse of as_binary_form."""
     x1, x2 = Polynomial.variable(X1), Polynomial.variable(X2)
-    return sum((c * x1 ** i * x2 ** (form.degree - i) for i, c in enumerate(form.coeffs)),
-               Polynomial())
+    return sum((coefficient_polynomial(c) * x1 ** i * x2 ** (form.degree - i)
+                for i, c in enumerate(form.coeffs)), Polynomial())
 
 
 def sylvester_matrix(f, g):
     """(n+m) x (n+m) Sylvester matrix of binary forms, F rows first,
-    descending powers."""
+    descending powers, its entries the forms' coefficients as polynomials."""
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise ValueError("Sylvester matrix needs forms of degree at least 1")
     size = n + m
     zero = Polynomial()
     rows = [[zero] * size for _ in range(size)]
+    f_coeffs, g_coeffs = ([coefficient_polynomial(c) for c in form.coeffs] for form in (f, g))
     for r in range(m):
         for j in range(n + 1):
-            rows[r][r + j] = f.coeffs[n - j]
+            rows[r][r + j] = f_coeffs[n - j]
     for s in range(n):
         for j in range(m + 1):
-            rows[m + s][s + j] = g.coeffs[m - j]
+            rows[m + s][s + j] = g_coeffs[m - j]
     return tuple(tuple(row) for row in rows)
 
 

@@ -36,6 +36,7 @@ from pardual.dualize import (
     sample_curve,
     verify_duality,
 )
+from pardual.elimination import resultant
 from pardual.polyparse import parse, print_poly
 from pardual.polyring import (
     X,
@@ -45,6 +46,7 @@ from pardual.polyring import (
     Polynomial,
     content_and_primitive,
     evaluate_exact,
+    exponents,
     monomial,
     partial_derivative,
     total_degree,
@@ -240,6 +242,53 @@ class TestPartialForms:
                                         "x2^2", "x1^3"])
     def test_paper_curves(self, source):
         self.check(parse(source))
+
+
+def reference_dual(f):
+    """(g, k) of dual_curve by Polynomial arithmetic throughout: f's
+    primitive part, its cone built term by term (reference_cone), the
+    cone's partials, the resultant of those converted to binary forms, the
+    quotient by y^k for the largest such k, and its primitive part.  None
+    where dual_curve must raise DegenerateCurveError."""
+    cone = reference_cone(content_and_primitive(f)[1])
+    partials = [partial_derivative(cone, var) for var in (X1, X2)]
+    if not all(partials):
+        return None
+    r = resultant(*map(as_binary_form, partials))
+    if not r:
+        return None
+    k = min(exponents(mono, (Y,))[0] for mono in r.terms)
+    _, g = content_and_primitive(exact_quotient(r, Polynomial.variable(Y) ** k))
+    return (g, k) if total_degree(g) else None
+
+
+class TestPsiStrip:
+    """dual_curve reads the resultant's exponent pairs once for the y power,
+    the content and the leading sign; its g and psi power equal the
+    Polynomial route's (reference_dual)."""
+
+    def check(self, f):
+        expected = reference_dual(f)
+        if expected is None:
+            with pytest.raises(DegenerateCurveError):
+                dual_curve(ImplicitCurve(f))
+        else:
+            dual = dual_curve(ImplicitCurve(f))
+            assert (dual.g, dual.psi_power_removed) == expected
+
+    @given(dense_curves(max_degree=3))
+    def test_dense_conics_and_cubics(self, f):
+        self.check(f)
+
+    @pytest.mark.parametrize("source", [FIG8_SOURCE, FIG9_SOURCE, SEC32_SOURCE,
+                                        "1/2*x1^3 - 1/3*x2^2 + x1*x2", "(x2-1)^2 - (x1-1)^3",
+                                        "x1*x2", "x2^2"])
+    def test_fixed_curves(self, source):
+        self.check(parse(source))
+
+    def test_fig8_strips_psi_to_the_eighth(self):
+        assert reference_dual(parse(FIG8_SOURCE))[1] == FIG8_PSI_POWER == 8
+        assert dual_curve(curve(FIG8_SOURCE)).psi_power_removed == 8
 
 
 XY = Polynomial.variable(X) * Polynomial.variable(Y)

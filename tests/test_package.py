@@ -64,7 +64,7 @@ RECORDS = [
     (CurveSamples(((0.0, 1.0),), ((0.0, 2.0),)), "points"),
     (VerifyReport(0.0, 1, 0), "tested"),
     (ConicMatrix.of(1, 1, -1, 0, 0, 0), "a1"),
-    (BinaryForm(1, (parse("x"), parse("y"))), "degree"),
+    (BinaryForm(1, ({(1, 0): 1}, {(0, 1): 1})), "degree"),
     (Viewport(-1.0, 1.0, -1.0, 1.0), "xmin"),
 ]
 
@@ -89,8 +89,8 @@ def test_record_constructors_and_defaults():
     vp = Viewport(xmin=-1.0, xmax=1.0, ymin=-2.0, ymax=2.0)
     assert (vp.width_px, vp.height_px) == (480, 480)
     assert Viewport(-1.0, 1.0, -2.0, 2.0, 100, 50).window() == (-1.0, 1.0, -2.0, 2.0)
-    form = BinaryForm(degree=1, coeffs=(parse("x"), parse("y")))
-    assert form.coeffs[1] == parse("y")
+    form = BinaryForm(degree=1, coeffs=({(1, 0): 1}, {(0, 1): 1}))
+    assert form.coeffs[1] == {(0, 1): 1}
     samples = CurveSamples(points=((0.0, 1.0), (1.0, 0.0)), gradients=((0.0, 2.0), (2.0, 0.0)))
     assert len(samples.points) == 2
     assert not CurveSamples((), ()).points
