@@ -42,8 +42,11 @@ if TYPE_CHECKING:
     from .elimination import BinaryForm
 
 F_TOL_REL = 1e-12          # on-curve residual, relative to local term scale
-SINGULAR_TOL = 1e-9        # minimum gradient norm for a usable sample, relative to _gradient_scale
-DENOM_TOL = 1e-9           # slope-1 tangents map to ideal points, relative to _gradient_scale
+# The gradient tests take the partials' largest |term| at the point as their scale, so
+# they hold when f is scaled; it is 0.0 where every such term vanishes, and the test
+# `|g| <= TOL * scale` then refuses the point instead of dividing
+SINGULAR_TOL = 1e-9        # minimum gradient norm for a usable sample
+DENOM_TOL = 1e-9           # slope-1 tangents map to ideal points
 RESIDUAL_THRESHOLD = 1e-6  # verification pass mark
 MAX_SOURCE_DEGREE = 12     # x1^12 + x2^12 - 1: 23.7-26.7 s in process, 2 cores; each degree ~2.5x
 
@@ -279,29 +282,16 @@ def _float_forms(f: Polynomial) -> tuple[FloatForm, FloatForm, FloatForm]:
                  for p in (f, partial_derivative(f, X1), partial_derivative(f, X2)))
 
 
-def _on_curve(form: FloatForm, x1v: float, x2v: float, value: float) -> bool:
-    """|f| within F_TOL_REL of the local term scale; false for a NaN value."""
-    return abs(value) <= F_TOL_REL * (1.0 + form.max_abs_term(x1v, x2v))
-
-
-def _gradient_scale(f1: FloatForm, f2: FloatForm, x1v: float, x2v: float) -> float:
-    """The larger of the partials' largest |term| at (x1v, x2v): the scale
-    of the gradient tests, so that they do not change when f is scaled.  It
-    is 0.0 where every term of both partials vanishes, and a test of the
-    form `|g| <= TOL * scale` then refuses the point instead of dividing."""
-    return max(f1.max_abs_term(x1v, x2v), f2.max_abs_term(x1v, x2v))
-
-
 def _image(forms: tuple[FloatForm, FloatForm, FloatForm],
            point: tuple[float, float]) -> PlanePoint:
     f, f1, f2 = forms
     x1v, x2v = point
-    value = f(x1v, x2v)
-    if not _on_curve(f, x1v, x2v, value):
+    value, scale = f.at(x1v, x2v)
+    if not abs(value) <= F_TOL_REL * (1.0 + scale):  # a NaN value is off the curve
         raise ValueError(f"point {point} is not on the curve (|f| = {abs(value):.3g})")
-    g1, g2 = f1(x1v, x2v), f2(x1v, x2v)
+    (g1, scale1), (g2, scale2) = f1.at(x1v, x2v), f2.at(x1v, x2v)
     denominator = g1 + g2
-    if abs(denominator) <= DENOM_TOL * _gradient_scale(f1, f2, x1v, x2v):
+    if abs(denominator) <= DENOM_TOL * max(scale1, scale2):
         raise IdealPointError("slope-1 tangent maps to ideal point")
     return PlanePoint(g2 / denominator, (x1v * g1 + x2v * g2) / denominator)
 
@@ -387,13 +377,16 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
     Compiles f and its partials, scans horizontal and vertical grid lines
     (at least 4 * target_count lines in total), brackets sign changes,
     bisects and Newton-polishes each root, and drops near-singular points
-    (gradient norm at most SINGULAR_TOL times _gradient_scale).
+    (gradient norm at most SINGULAR_TOL times the partials' largest |term|).
     Returns up to target_count points, evenly thinned in scan order.  A
-    root, f value or gradient that is not finite raises OverflowError.
+    window whose x or y span is not finite raises ValueError; a root, f
+    value or gradient that is not finite raises OverflowError.
     """
     xmin, xmax, ymin, ymax = window
     if not (xmin < xmax and ymin < ymax):
         raise ValueError("window must be nonempty")
+    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+        raise ValueError(f"window {window} has an x or y span that is not finite")
     if target_count < 1:
         raise ValueError("target_count must be at least 1")
     f, fx1, fx2 = _float_forms(curve.f)
@@ -403,13 +396,13 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
     gradients: list[tuple[float, float]] = []
 
     def accept(x1v: float, x2v: float) -> None:
-        value = f(x1v, x2v)
+        value, scale = f.at(x1v, x2v)
         _require_finite("(x1, x2, f)", x1v, x2v, value)
-        if not _on_curve(f, x1v, x2v, value):
+        if not abs(value) <= F_TOL_REL * (1.0 + scale):
             return
-        g1, g2 = fx1(x1v, x2v), fx2(x1v, x2v)
+        (g1, scale1), (g2, scale2) = fx1.at(x1v, x2v), fx2.at(x1v, x2v)
         _require_finite("(f1, f2)", g1, g2)
-        if math.hypot(g1, g2) <= SINGULAR_TOL * _gradient_scale(fx1, fx2, x1v, x2v):
+        if math.hypot(g1, g2) <= SINGULAR_TOL * max(scale1, scale2):
             return
         points.append((x1v, x2v))
         gradients.append((g1, g2))
@@ -473,7 +466,8 @@ def verify_duality(curve: ImplicitCurve, dual: DualCurve,
         except IdealPointError:
             skipped += 1
             continue
-        residual = abs(g(x, y)) / (1.0 + g.max_abs_term(x, y))
+        value, scale = g.at(x, y)
+        residual = abs(value) / (1.0 + scale)
         _require_finite("(x, y, residual)", x, y, residual)
         worst = max(worst, residual)
         tested += 1

@@ -216,11 +216,12 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     a column costs about one pass per three y powers, not one per term.
     Grouping by y power rounds differently from evaluating p term by term
     at each node; the tests bound each value's distance from the exact
-    value of p at the float node in units of form.max_abs_term.  The cells
-    are marched between two adjacent columns, so the full grid of values is
-    never held.  A column with a value that is not finite raises
-    OverflowError.  Powers of y above p's degree in y are never taken: their
-    coefficients are zero, and they could overflow where p does not.
+    value of p at the float node in units of the scale form.at reads
+    there, p's largest |term|.  The cells are marched between two adjacent
+    columns, so the full grid of values is never held.  A column with a
+    value that is not finite raises OverflowError.  Powers of y above p's
+    degree in y are never taken: their coefficients are zero, and they
+    could overflow where p does not.
 
     Before its passes, each column's coefficients are bounded over the
     grid's y span, min(ys) to max(ys), by _column_sign: a column whose
@@ -345,7 +346,7 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
                 segments.append((crossings[0], crossings[1]))
                 continue
             on_bottom, on_left, on_right, on_top = crossings  # a saddle
-            center = form(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+            center, _ = form.at(0.5 * (x0 + x1), 0.5 * (y0 + y1))
             if bl < 0:
                 segments += ([(on_left, on_top), (on_bottom, on_right)] if center < 0
                              else [(on_left, on_bottom), (on_right, on_top)])

@@ -15,8 +15,9 @@ a Fraction coefficient, so an integer polynomial (every primitive part,
 every dual) costs no Fraction object per term.  Values are immutable and
 every operation is a pure function, so everything here is safe to share
 across threads.  No float ever enters the arithmetic; the one float view
-is FloatForm, a polynomial compiled once for repeated evaluation in a
-pair of variables.
+is FloatForm, a polynomial compiled once into one tuple of float terms in
+a pair of variables, read a point at a time (its value and its scale in
+one pass) or a line at a time (its coefficients in the other variable).
 """
 
 from __future__ import annotations
@@ -247,22 +248,24 @@ def evaluate_exact(p: Polynomial, point: Mapping[VarId, Fraction | int]) -> Frac
 class FloatForm:
     """p compiled for repeated float evaluation in the axis pair ax < ay.
 
-    The terms are held in canonical order as (float(coeff), exp_ax, exp_ay).
-    A call computes each value with the float operations of a one-off
-    evaluation of p, in the same order: term = c, then *= x**a, then
-    *= y**b, summed from 0.0.  The tests keep that one-off evaluation
-    (evaluate_float in tests/helpers.py) as the reference that each call
-    must equal bit for bit.  A factor v**0 is 1.0 and multiplying by it is
-    exact, so terms need no branch on a zero exponent.  No Horner scheme:
-    it rounds differently and can flip the sign of a value near zero.
+    The terms are held once, in canonical order, as (float(coeff), exp_ax,
+    exp_ay).  at(x, y) reads a point in one pass: p's value with the float
+    operations of a one-off evaluation of p, in the same order (term = c,
+    then *= x**a, then *= y**b, summed from 0.0), and the scale of every
+    relative test of a point, |c| * |x|**a * |y|**b maxed from 0.0.  The
+    tests keep that one-off evaluation (evaluate_float in tests/helpers.py)
+    as the reference that each value must equal bit for bit.  A factor
+    v**0 is 1.0 and multiplying by it is exact, so terms need no branch on
+    a zero exponent.  No Horner scheme: it rounds differently and can flip
+    the sign of a value near zero.
 
     line(var, value) groups the terms by their exponent of the other axis,
-    so a value built from it rounds differently from a call; such a value
-    is checked against the exact one, within a bound in units of
-    max_abs_term, and not bit for bit.
+    so a value built from it rounds differently from at; such a value is
+    checked against the exact one, within a bound in units of at's scale,
+    and not bit for bit.
     """
 
-    __slots__ = ("axes", "degree", "terms", "_lines")
+    __slots__ = ("axes", "degree", "terms")
 
     def __init__(self, p: Polynomial, ax: VarId, ay: VarId):
         if not ax < ay:
@@ -274,40 +277,34 @@ class FloatForm:
         self.terms = tuple((float(coeff), *exponents(mono, self.axes))
                            for mono, coeff in sorted_terms(p))
         self.degree = max((a + b for _, a, b in self.terms), default=0)
-        # line's terms along ax and along ay, as (c, a, b) with a the exponent
-        # of the line's axis: a descending, and canonical within each a.  Each
-        # coefficient's terms keep their canonical order, which within one b
-        # is a descending (graded-lex), and equal powers of value are adjacent
-        self._lines = tuple(tuple(sorted(terms, key=lambda term: -term[1]))
-                            for terms in (self.terms, [(c, b, a) for c, a, b in self.terms]))
 
-    def __call__(self, x: float, y: float) -> float:
+    def at(self, x: float, y: float) -> tuple[float, float]:
+        """(p(x, y), largest |term| at (x, y)); a NaN term leaves the scale as it was."""
         total = 0.0
+        worst = 0.0
+        abs_x, abs_y = abs(x), abs(y)
         for c, a, b in self.terms:
             total += c * x ** a * y ** b
-        return total
-
-    def max_abs_term(self, x: float, y: float) -> float:
-        """Largest |term| at (x, y); the scale for relative residuals."""
-        x, y = abs(x), abs(y)
-        worst = 0.0
-        for c, a, b in self.terms:
-            worst = max(worst, abs(c) * x ** a * y ** b)
-        return worst
+            worst = max(worst, abs(c) * abs_x ** a * abs_y ** b)
+        return total, worst
 
     def line(self, var: VarId, value: float) -> list[float]:
         """Dense coefficients in the other axis, ascending, of p restricted
         to var = value; degree + 1 of them.  Coefficient e sums c * value**a
         over the terms whose other exponent is e, in canonical order from
-        0.0, where a is the term's exponent of var.  The terms come grouped
-        by a, so each distinct value**a is taken once per call, with **."""
+        0.0, where a is the term's exponent of var: within one e that order
+        is a descending (graded-lex).  Each value**a is taken once per call,
+        with **, and only for an a that some term has."""
         if var not in self.axes:
             raise ValueError(f"variable {VAR_NAMES[var]} is not an axis of this form")
+        along_y = var == self.axes[1]
         coeffs = [0.0] * (self.degree + 1)
-        last = -1
-        for c, a, b in self._lines[var == self.axes[1]]:
-            if a != last:
-                power = value ** a
-                last = a
+        powers: list[float | None] = [None] * (self.degree + 1)
+        for c, a, b in self.terms:
+            if along_y:
+                a, b = b, a
+            power = powers[a]
+            if power is None:
+                power = powers[a] = value ** a
             coeffs[b] += c * power
         return coeffs

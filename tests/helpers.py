@@ -9,6 +9,7 @@ from functools import cache
 from hypothesis import strategies as st
 
 from pardual.elimination import BinaryForm
+from pardual.plot import _column_values
 from pardual.polyring import (
     NUM_VARS,
     VAR_NAMES,
@@ -262,9 +263,11 @@ def conic_determinant(m):
 
 def cellwise_trace(p, ax, ay, vp, grid):
     """plot.trace_implicit as it was before crossings were shared between
-    cells, kept as its reference: the same columns and sign masks, but
+    cells, kept as its reference for that sharing: the same columns, from
+    plot._column_values on every grid column, and the same sign masks, but
     every marched cell interpolates each of its crossed edges itself, and
-    a column's finiteness is checked through its sum."""
+    a column's finiteness is checked through its sum.  The column values
+    are checked on their own against grouped_column in tests/test_plot.py."""
     form = FloatForm(p, ax, ay)
     xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]
     ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
@@ -275,24 +278,7 @@ def cellwise_trace(p, ax, ay, vp, grid):
 
     def column(xv):
         c0, *coeffs = form.line(ax, xv)
-        c0 = c0 or 0.0
-        terms = [(c, powers) for c, powers in zip(coeffs, y_powers) if c]
-        head = len(terms) % 3 or 3
-        if not terms:
-            values = [c0] * len(ys)
-        elif head == 1:
-            [(a, ya)] = terms[:1]
-            values = [c0 + a * pa for pa in ya]
-        elif head == 2:
-            (a, ya), (b, yb) = terms[:2]
-            values = [c0 + a * pa + b * pb for pa, pb in zip(ya, yb)]
-        else:
-            (a, ya), (b, yb), (c, yc) = terms[:3]
-            values = [c0 + a * pa + b * pb + c * pc for pa, pb, pc in zip(ya, yb, yc)]
-        for k in range(head, len(terms), 3):
-            (a, ya), (b, yb), (c, yc) = terms[k:k + 3]
-            values = [v + a * pa + b * pb + c * pc
-                      for v, pa, pb, pc in zip(values, ya, yb, yc)]
+        values = _column_values(c0 or 0.0, coeffs, ys, y_powers)
         if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise OverflowError(f"grid column at x = {xv!r} is not finite")
         return values, int(pack(*values)[-8::-8].translate(sign_digits), 2)
@@ -329,7 +315,7 @@ def cellwise_trace(p, ax, ay, vp, grid):
                 segments.append((crossings[0], crossings[1]))
                 continue
             on_bottom, on_left, on_right, on_top = crossings
-            center = form(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+            center, _ = form.at(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
             if bl < 0:
                 segments += ([(on_left, on_top), (on_bottom, on_right)] if center < 0
                              else [(on_left, on_bottom), (on_right, on_top)])

@@ -215,7 +215,7 @@ class TestPlotCommands:
         scale_form = FloatForm(g, X, Y)
         for segment in segments:
             for px, py in segment:
-                scale = 1.0 + scale_form.max_abs_term(px, py)
+                scale = 1.0 + scale_form.at(px, py)[1]
                 assert abs(evaluate_float(g, {X: px, Y: py})) < 0.05 * scale
 
     @pytest.mark.parametrize("window, vertical_axes", [
@@ -424,6 +424,15 @@ class TestCommandSurface:
     def test_nonfinite_pixel_scale_exit_2(self, command, window, capsys):
         # finite bounds whose span, or pixels per unit, overflows
         code, out, err = run(capsys, command, "x1^2 + x2^2 - 1", f"--window={window}")
+        assert code == 2
+        assert out == ""
+        assert "window (" in err and "not finite" in err
+
+    @pytest.mark.parametrize("window", ["-1e308,1e308,-1,1", "-1,1,-1e308,1e308"])
+    def test_verify_nonfinite_span_exit_2(self, window, capsys):
+        # the circle lies in the window, but its x or y span overflows: refused
+        # as plot and plot-envelope refuse it, not reported as no samples (exit 5)
+        code, out, err = run(capsys, "verify", "x1^2 + x2^2 - 1", f"--window={window}")
         assert code == 2
         assert out == ""
         assert "window (" in err and "not finite" in err

@@ -250,7 +250,7 @@ class TestTraceImplicit:
     def test_grouped_columns_near_exact(self, text, axes, vp):
         # Every grouped-rule value v at a float node (x, y) lies within
         # T * (T + d + 8) * 2**-53 * M of p's exact value there, for T terms,
-        # total degree d and M = FloatForm.max_abs_term(x, y).  Each term
+        # total degree d and M the scale FloatForm.at(x, y) reads.  Each term
         # passes through at most T + d + 6 roundings of relative size
         # 2**-53: the coefficient, two products, x**a and y**b at two each,
         # T - 1 additions within its y power and d across them (adding the
@@ -272,7 +272,7 @@ class TestTraceImplicit:
                 exact_coeffs[b] += coeff * exact_x ** a
             for yv, powers, value in zip(ys, y_powers, grouped_column(p, ax, ay, xv, ys)):
                 exact = sum(c * power for c, power in zip(exact_coeffs, powers))
-                assert abs(Fraction(value) - exact) <= bound * Fraction(form.max_abs_term(xv, yv))
+                assert abs(Fraction(value) - exact) <= bound * Fraction(form.at(xv, yv)[1])
 
     @settings(max_examples=80, deadline=None)
     @given(trace_cases())

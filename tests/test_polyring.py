@@ -387,7 +387,8 @@ def reference_line_coefficients(f, fixed_var, fixed_val, free_var):
 
 
 def reference_max_abs_term(p, point):
-    """The residual scale verify used before FloatForm.max_abs_term."""
+    """The residual scale verify used before FloatForm.at read it in the
+    value's pass: the largest |c| * |v|**e product over p's terms, from 0.0."""
     worst = 0.0
     for mono, coeff in p.terms.items():
         term = abs(float(coeff))
@@ -437,22 +438,22 @@ def bits(values):
 
 
 class TestFloatForm:
-    """FloatForm's call, max_abs_term and line must reproduce the float
-    evaluations they replaced bit for bit (signs of zero included): a
-    rounding difference can flip a near-zero sign in sampling and move a
-    sample.  The plot's column rule built on line is checked against exact
-    values in tests/test_plot.py."""
+    """FloatForm's at (a point's value and scale in one pass) and line must
+    reproduce the float evaluations they replaced bit for bit (signs of
+    zero included): a rounding difference can flip a near-zero sign in
+    sampling and move a sample.  The plot's column rule built on line is
+    checked against exact values in tests/test_plot.py."""
 
     def check(self, p, axes, points):
         ax, ay = axes
         form = FloatForm(p, ax, ay)
         for x, y in points:
-            assert bits([form(x, y)]) == bits([evaluate_float(p, {ax: x, ay: y})])
-            assert (bits([form.max_abs_term(x, y)])
-                    == bits([reference_max_abs_term(p, {ax: x, ay: y})]))
-            for fixed, free, value in ((ax, ay, x), (ay, ax, y)):
-                assert (bits(form.line(fixed, value))
-                        == bits(reference_line_coefficients(p, fixed, value, free)))
+            value, scale = form.at(x, y)
+            assert bits([value]) == bits([evaluate_float(p, {ax: x, ay: y})])
+            assert bits([scale]) == bits([reference_max_abs_term(p, {ax: x, ay: y})])
+            for fixed, free, fixed_value in ((ax, ay, x), (ay, ax, y)):
+                assert (bits(form.line(fixed, fixed_value))
+                        == bits(reference_line_coefficients(p, fixed, fixed_value, free)))
 
     @given(axis_pairs.flatmap(lambda axes: st.tuples(st.just(axes), dense_polynomials(axes))),
            point_lists)
@@ -467,7 +468,15 @@ class TestFloatForm:
 
     def test_zero_polynomial(self):
         form = FloatForm(Polynomial(), X1, X2)
-        assert form(1.5, -2.0) == 0.0 and form.line(X1, 1.5) == [0.0]
+        assert form.at(1.5, -2.0) == (0.0, 0.0) and form.line(X1, 1.5) == [0.0]
+
+    def test_line_takes_only_the_powers_its_terms_use(self):
+        # x*y^5 has x to the power 1 only: a table of x**a for every a up to
+        # the total degree 6 would take 1e100**6, which overflows
+        form = FloatForm(parse("x*y^5"), X, Y)
+        assert form.line(X, 1e100) == [0.0] * 5 + [1e100, 0.0]
+        with pytest.raises(OverflowError):
+            form.line(Y, 1e100)  # 1e100**5 is taken, and overflows
 
     def test_foreign_variable_rejected(self):
         with pytest.raises(ValueError):
