@@ -223,10 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # a dual's coefficients outgrow the input's, so the parser's cap on input
     # does not keep them under the 4300-digit limit on printing an int that
-    # Python sets from 3.10.7 on; every command's output prints in full
-    set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_int_max_str_digits is not None:
-        set_int_max_str_digits(0)
+    # Python sets from 3.10.7 on; every command's output prints in full, and
+    # the caller's limit is back in force when main returns or raises
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return _main(argv)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

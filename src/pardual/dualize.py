@@ -42,11 +42,10 @@ if TYPE_CHECKING:
     from .elimination import BinaryForm
 
 F_TOL_REL = 1e-12          # on-curve residual, relative to local term scale
-# The gradient tests take the partials' largest |term| at the point as their scale, so
-# they hold when f is scaled; it is 0.0 where every such term vanishes, and the test
-# `|g| <= TOL * scale` then refuses the point instead of dividing
-SINGULAR_TOL = 1e-9        # minimum gradient norm for a usable sample
-DENOM_TOL = 1e-9           # slope-1 tangents map to ideal points
+# Both gradient tests, |(f1, f2)| for a usable sample and |f1 + f2| for a finite image,
+# compare with GRADIENT_TOL times the partials' largest |term| at the point: they hold when
+# f is scaled, and where that scale is 0.0 they refuse the point instead of dividing
+GRADIENT_TOL = 1e-9
 RESIDUAL_THRESHOLD = 1e-6  # verification pass mark
 MAX_SOURCE_DEGREE = 12     # x1^12 + x2^12 - 1: 23.7-26.7 s in process, 2 cores; each degree ~2.5x
 
@@ -143,11 +142,11 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
 
     Applying the image map first is sound: substitution is a ring
     homomorphism, so it commutes with the expansion, with the partial
-    derivatives in (x1, x2) and with the determinant.  The partials and
-    the resultant are homogeneous in (eta, xi, psi), and such a polynomial
-    vanishes on the plane eta + xi = 1 only when it is zero, so the
-    vanishing checks and the stripped power k are those of the resultant
-    in (eta, xi, psi).
+    derivatives in (x1, x2) and with the determinant.  The resultant is
+    homogeneous in (eta, xi, psi), and such a polynomial vanishes on the
+    plane eta + xi = 1 only when it is zero, so the stripped power k and
+    the check R == 0, which alone decides degeneracy (x1^2's partial in x2
+    vanishes, and so does R), are those of the resultant in (eta, xi, psi).
     """
     if curve.n < 2:
         raise DegreeError("dual_curve needs degree >= 2 (lines dualize to points)")
@@ -189,7 +188,8 @@ def _partial_forms(f: Polynomial) -> tuple[BinaryForm, BinaryForm]:
     c * (-y)^s * C(k, l) * (x-1)^l * (-x)^(k-l) to L_(a+l), for l = 0..k.
     No Polynomial is multiplied, and a rational f stays exact.  By Euler's
     rule dL/dx1 has the coefficients (i+1) * L_(i+1) and dL/dx2 has
-    (n-i) * L_i, for i = 0..n-1.
+    (n-i) * L_i, for i = 0..n-1; a partial that vanishes identically is a
+    form of empty maps, which dual_curve's R == 0 check refuses.
     """
     n = total_degree(f)
     # lines[k][l]: C(k, l) * (x-1)^l * (-x)^(k-l) as (e, coefficient of x^e) pairs,
@@ -206,8 +206,6 @@ def _partial_forms(f: Polynomial) -> tuple[BinaryForm, BinaryForm]:
                 terms[e, s] = terms.get((e, s), 0) + scale * c
     d1 = tuple({pair: (i + 1) * c for pair, c in cone[i + 1].items() if c} for i in range(n))
     d2 = tuple({pair: (n - i) * c for pair, c in cone[i].items() if c} for i in range(n))
-    if not any(d1) or not any(d2):
-        raise DegenerateCurveError("a partial derivative vanished identically")
     from .elimination import BinaryForm
     return BinaryForm(n - 1, d1), BinaryForm(n - 1, d2)
 
@@ -291,7 +289,7 @@ def _image(forms: tuple[FloatForm, FloatForm, FloatForm],
         raise ValueError(f"point {point} is not on the curve (|f| = {abs(value):.3g})")
     (g1, scale1), (g2, scale2) = f1.at(x1v, x2v), f2.at(x1v, x2v)
     denominator = g1 + g2
-    if abs(denominator) <= DENOM_TOL * max(scale1, scale2):
+    if abs(denominator) <= GRADIENT_TOL * max(scale1, scale2):
         raise IdealPointError("slope-1 tangent maps to ideal point")
     return PlanePoint(g2 / denominator, (x1v * g1 + x2v * g2) / denominator)
 
@@ -323,6 +321,14 @@ def point_to_polyline(values: Sequence[Fraction | float],
         raise ValueError("a polyline needs at least two coordinates")
     _require_spacing(d)
     return [PlanePoint(i * d, float(c)) for i, c in enumerate(values)]
+
+
+def _require_window(window: tuple[float, float, float, float]) -> None:
+    xmin, xmax, ymin, ymax = window
+    if not (xmin < xmax and ymin < ymax):
+        raise ValueError("window must be nonempty")
+    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+        raise ValueError(f"window {window} has an x or y span that is not finite")
 
 
 def _require_finite(names: str, *values: float) -> None:
@@ -377,16 +383,13 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
     Compiles f and its partials, scans horizontal and vertical grid lines
     (at least 4 * target_count lines in total), brackets sign changes,
     bisects and Newton-polishes each root, and drops near-singular points
-    (gradient norm at most SINGULAR_TOL times the partials' largest |term|).
+    (gradient norm at most GRADIENT_TOL times the partials' largest |term|).
     Returns up to target_count points, evenly thinned in scan order.  A
-    window whose x or y span is not finite raises ValueError; a root, f
-    value or gradient that is not finite raises OverflowError.
+    window that _require_window refuses raises ValueError; a root, f value
+    or gradient that is not finite raises OverflowError.
     """
     xmin, xmax, ymin, ymax = window
-    if not (xmin < xmax and ymin < ymax):
-        raise ValueError("window must be nonempty")
-    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
-        raise ValueError(f"window {window} has an x or y span that is not finite")
+    _require_window(window)
     if target_count < 1:
         raise ValueError("target_count must be at least 1")
     f, fx1, fx2 = _float_forms(curve.f)
@@ -402,7 +405,7 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
             return
         (g1, scale1), (g2, scale2) = fx1.at(x1v, x2v), fx2.at(x1v, x2v)
         _require_finite("(f1, f2)", g1, g2)
-        if math.hypot(g1, g2) <= SINGULAR_TOL * max(scale1, scale2):
+        if math.hypot(g1, g2) <= GRADIENT_TOL * max(scale1, scale2):
             return
         points.append((x1v, x2v))
         gradients.append((g1, g2))

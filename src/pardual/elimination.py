@@ -65,9 +65,10 @@ class _BinaryFormFields(NamedTuple):
 class BinaryForm(_BinaryFormFields):
     """Homogeneous form in (x1, x2); coeffs[i] multiplies x1^i * x2^(degree-i)
     and maps each exponent pair (i, j) of x^i * y^j to its nonzero
-    coefficient, an empty map being the zero coefficient.  A pair map names
-    only x and y, so no coefficient can hold x1 or x2.  The lift builds the
-    maps directly, so no Polynomial enters a form on the dual path."""
+    coefficient, an empty map being the zero coefficient; a form of empty
+    maps is the zero form, whose resultant is 0.  A pair map names only x
+    and y, so no coefficient can hold x1 or x2.  The lift builds the maps
+    directly, so no Polynomial enters a form on the dual path."""
 
     __slots__ = ()
 
@@ -79,8 +80,6 @@ class BinaryForm(_BinaryFormFields):
         if not all(map(_is_terms, coeffs)):
             raise ValueError("a form coefficient maps pairs (i, j) of non-negative "
                              "integers to nonzero coefficients of x^i * y^j")
-        if not any(coeffs):
-            raise ValueError("binary form must have a nonzero coefficient")
         return super().__new__(cls, degree, coeffs)
 
 
@@ -94,9 +93,9 @@ def _is_terms(coeff: object) -> bool:
 def resultant(f: BinaryForm, g: BinaryForm) -> Polynomial:
     """Determinant of the Sylvester matrix, as a Polynomial in (x, y): the
     dual path's first Polynomial since the curve.  It is identically zero
-    exactly when the forms share a common nonconstant factor.  The forms'
-    pair maps are read as they are, and every coefficient in them must be
-    an int; a rational one raises ValueError.
+    exactly when the forms share a nonconstant factor, as a zero form does
+    with any form.  The forms' pair maps are read as they are, and every
+    coefficient in them must be an int; a rational one raises ValueError.
 
     The grid values come one line along y at a time, and each line's
     resultants are taken together by the subresultant PRS in lockstep.

@@ -32,7 +32,8 @@ import math
 import struct
 from typing import Iterator, NamedTuple
 
-from .dualize import ImplicitCurve, _require_spacing, point_to_polyline, sample_curve
+from .dualize import (ImplicitCurve, _require_spacing, _require_window, point_to_polyline,
+                      sample_curve)
 from .polyring import DEFAULT_SPACING, X, X1, X2, Y, FloatForm, Polynomial, variables
 
 Point = tuple[float, float]
@@ -60,15 +61,12 @@ class Viewport(_ViewportFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
-            raise ValueError("viewport must have positive extent")
+        _require_window(self.window())
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError("pixel dimensions must be positive")
-        for span, px in ((self.xmax - self.xmin, self.width_px),
-                         (self.ymax - self.ymin, self.height_px)):
-            if not (math.isfinite(span) and math.isfinite(px / span)):
-                raise ValueError(f"window {self.window()} has a span or pixel scale "
-                                 "that is not finite")
+        if not (math.isfinite(self.width_px / (self.xmax - self.xmin))
+                and math.isfinite(self.height_px / (self.ymax - self.ymin))):
+            raise ValueError(f"window {self.window()} has a pixel scale that is not finite")
         return self
 
     def window(self) -> tuple[float, float, float, float]:

@@ -16,10 +16,11 @@ so "2x1" is a syntax error.  Error offsets are 1-based byte positions.
 Exponents are capped at MAX_EXPONENT, and every product and power is
 refused before it is expanded when its total degree would exceed
 MAX_DEGREE, its predicted term count would exceed MAX_TERMS, or its
-predicted coefficients could exceed 10^MAX_COEFF_DIGITS.  The term
-prediction is the smaller of two bounds: the number of ways to pick one
-term from each factor, and the number of monomials of that degree or
-less in the variables the factors use.  The coefficient prediction
+predicted coefficients could exceed 10^MAX_COEFF_DIGITS; a sum is
+refused once it holds more than MAX_TERMS terms.  The term prediction
+is the smaller of two bounds: the number of ways to pick one term from
+each factor, and the number of monomials of that degree or less in the
+variables the factors use.  The coefficient prediction
 writes each factor as an integer polynomial P over the lcm D of its
 denominators: a product's numerators are at most the product of the
 factors' sums |P|_1 of absolute values, and its denominators divide the
@@ -132,17 +133,25 @@ class _Parser:
         return False
 
     def expr(self) -> Polynomial:
-        negate = self.eat_op("-")
-        value = self.term()
-        if negate:
-            value = -value
+        # one map per sum, so that a sum of n terms takes time linear in n
+        total: dict = {}
+        sign = -1 if self.eat_op("-") else 1
         while True:
+            for mono, coeff in self.term().terms.items():
+                coeff = total.get(mono, 0) + sign * coeff
+                if coeff:
+                    total[mono] = coeff
+                else:  # a cancelled term leaves the sum, as it leaves a Polynomial
+                    del total[mono]
+            _, _, position = self.peek()
+            if len(total) > MAX_TERMS:
+                raise ParseError(f"term count overflow (> {MAX_TERMS})", position)
             if self.eat_op("+"):
-                value = value + self.term()
+                sign = 1
             elif self.eat_op("-"):
-                value = value - self.term()
+                sign = -1
             else:
-                return value
+                return Polynomial(total)
 
     def term(self) -> Polynomial:
         value = self.factor()

@@ -56,6 +56,13 @@ class TestDualCommand:
         assert code == 3
         assert "degenerate" in err or "collapsed" in err
 
+    @pytest.mark.parametrize("text", ["x1^2", "x1^3", "x2^2", "x2^7"])
+    def test_vanishing_partial_exit_3(self, text, capsys):
+        # a partial vanishes identically, so does the resultant, and that alone refuses it
+        code, out, err = run(capsys, "dual", text)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: degenerate input: resultant vanished identically")
+
     def test_parse_error_exit_2(self, capsys):
         code, out, err = run(capsys, "dual", "x1^2 *")
         assert code == 2
@@ -76,6 +83,25 @@ class TestDualCommand:
             "dual_degree: 2\n"
             "psi_power: 2\n")
         assert err == ""
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the interpreter has no int-string limit")
+    @pytest.mark.parametrize("argv", [["dual", "--", "x1^2 + x2^2 - 1"],
+                                      ["dual", "--", "x1^2 *"], ["dual", "--bad-flag", "x1"]])
+    def test_int_string_limit_restored(self, argv, capsys):
+        # main lifts the limit while it prints and gives the caller's back,
+        # on success, on an error exit and on argparse's SystemExit alike
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(previous)
+        capsys.readouterr()
 
     def test_dual_beyond_int_string_limit(self, capsys):
         # the input's coefficient has 3841 digits and parses; the dual's have
@@ -418,6 +444,13 @@ class TestCommandSurface:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "plot", "plot-envelope"])
+    @pytest.mark.parametrize("window", ["1,0,0,1", "0,1,1,1"])
+    def test_empty_window_exit_2(self, command, window, capsys):
+        # one window rule, dualize's, for every command with a window
+        assert run(capsys, command, "x1^2 + x2^2 - 1", f"--window={window}") == (
+            2, "", "error: window must be nonempty\n")
 
     @pytest.mark.parametrize("command", ["plot", "plot-envelope"])
     @pytest.mark.parametrize("window", ["0,1e-320,0,1", "0,1,0,1e-320", "-1e308,1e308,-1,1"])

@@ -36,7 +36,7 @@ from pardual.dualize import (
     sample_curve,
     verify_duality,
 )
-from pardual.elimination import resultant
+from pardual.elimination import BinaryForm, resultant
 from pardual.polyparse import parse, print_poly
 from pardual.polyring import (
     X,
@@ -228,18 +228,21 @@ class TestPartialForms:
     def check(self, f):
         cone = reference_cone(f)
         partials = [partial_derivative(cone, var) for var in (X1, X2)]
-        if all(partials):
-            assert _partial_forms(f) == tuple(map(as_binary_form, partials))
-        else:
-            with pytest.raises(DegenerateCurveError, match="vanished identically"):
-                _partial_forms(f)
+        n = total_degree(f)
+        # a partial that vanishes identically is the zero form, and the
+        # resultant alone refuses it
+        zero = BinaryForm(n - 1, ({},) * n)
+        assert _partial_forms(f) == tuple(as_binary_form(p) if p else zero for p in partials)
+        if not all(partials):
+            with pytest.raises(DegenerateCurveError, match="resultant vanished identically"):
+                dual_curve(ImplicitCurve(f))
 
     @given(lift_sources())
     def test_matches_reference(self, f):
         self.check(f)
 
     @pytest.mark.parametrize("source", [FIG9_SOURCE, FIG8_SOURCE, SEC32_SOURCE, CIRCLE_SOURCE,
-                                        "x2^2", "x1^3"])
+                                        "x2^2", "x1^3", "x1^2", "x2^7"])
     def test_paper_curves(self, source):
         self.check(parse(source))
 
@@ -433,7 +436,7 @@ class TestPointImage:
 
     def test_node_is_ideal(self):
         # every term of both partials vanishes at the node, so the relative
-        # slope-1 test refuses it (0 <= DENOM_TOL * 0) instead of dividing
+        # slope-1 test refuses it (0 <= GRADIENT_TOL * 0) instead of dividing
         with pytest.raises(IdealPointError):
             point_image_on_dual(curve("x1^2 - x2^2"), (0.0, 0.0))
 

@@ -390,6 +390,16 @@ class TestResultant:
         g = as_binary_form(parse("(x1 - x2)*(x1 + 2*x2)"))
         assert resultant(f, g) == Polynomial()
 
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_zero_form_vanishes(self, degree):
+        # a form of empty maps is the zero form: its resultant is the zero
+        # polynomial, by the formal-degree rule, whatever the other form is
+        zero = BinaryForm(degree, ({},) * (degree + 1))
+        for other in (zero, constant_form(1, 0, 3), form_product([(1, 2), (-3, 1)]),
+                      as_binary_form(parse("x*x1^3 - y*x2^3 + x1*x2^2"))):
+            assert resultant(zero, other) == Polynomial()
+            assert resultant(other, zero) == Polynomial()
+
     def test_coprime_linear(self):
         r = resultant(as_binary_form(parse("x1")), as_binary_form(parse("x2")))
         assert r == Polynomial.constant(1)

@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,31 @@ class TestParseErrors:
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert "degree" in str(err.value)
+            assert err.value.position == position
+
+    def test_sum_term_budget(self, monkeypatch):
+        # the first monomials of degree <= 16 in x1, x2, x and y, in graded order
+        exps = sorted((e for e in itertools.product(range(17), repeat=4) if sum(e) <= 16),
+                      key=lambda e: (sum(e), e))[:MAX_TERMS + 1]
+        monos = ["*".join(f"{name}^{k}" for name, k in zip(("x1", "x2", "x", "y"), e) if k)
+                 or "1" for e in exps]
+        head = " + ".join(monos[:MAX_TERMS])
+        assert len(parse(head).terms) == MAX_TERMS
+        # one term more is refused at the end of input, in time linear in the sum's length
+        text = f"{head} + {monos[-1]}"
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=r"term count overflow \(> 4096\)") as err:
+            parse(text)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.position == len(text) + 1
+        # mid-sum, at the operator after the term that went over (a ')' closing
+        # a bracketed sum); a cancelled term leaves the sum and frees its place
+        monkeypatch.setattr("pardual.polyparse.MAX_TERMS", 3)
+        assert parse("x1 + x2 - x1 + x + y - (x2 + y)") == parse("x")
+        for text, position in (("x1 + x2 + x + y - x1", 17), ("x1 + x2*(x + y + 1 + x1)", 24),
+                               ("(x1 + x2 + x + y) - x", 17)):
+            with pytest.raises(ParseError, match=r"term count overflow \(> 3\)") as err:
+                parse(text)
             assert err.value.position == position
 
     def test_term_budget(self, monkeypatch):
