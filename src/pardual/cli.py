@@ -12,6 +12,14 @@ main prints the "error:" line and exits with the error's exit_code
 dualize or plot once its input parses, and elimination only when it takes
 a resultant.
 
+This module only turns text into values: a window into four floats,
+--grid and --samples into ints, and each rational (an --at value, a
+conic-dual coefficient) into a constant of the input grammar, with its
+caps.  The library function that uses a value checks it (Viewport and
+sample_curve the window, trace_implicit the grid, sample_curve and
+envelope_scene the sample count), and verify and plot run those checks,
+by sampling or tracing the source first, before dual_curve.
+
 `pardual` and `python -m pardual.cli` go through run: once main returns,
 stdout and stderr are flushed and the process ends by os._exit, skipping
 the interpreter's teardown (which only frees memory the OS takes back),
@@ -21,18 +29,17 @@ tool the process exits the ordinary way, so `python -m cProfile -m
 pardual.cli ...` prints its table as before.
 
 The polynomial argument is read from the first positional, or from stdin
-when it is "-" (first non-comment line).  Use "--" before positional
-arguments that start with a minus sign (`pardual dual -- "-x1^2 + x2"`)
-and the equals form for such flag values (`--window=-3,3,-3,3`).
+when it is "-", up to its first non-comment line and no further.  Use
+"--" before positional arguments that start with a minus sign (`pardual
+dual -- "-x1^2 + x2"`) and the equals form for such flag values
+(`--window=-3,3,-3,3`).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from fractions import Fraction
 from typing import NoReturn
 
 from .polyparse import ParseError, parse, print_poly
@@ -41,51 +48,26 @@ from .polyring import DEFAULT_SPACING, VAR_BY_NAME, X, Y, evaluate_exact, total_
 DEFAULT_WINDOW = (-3.0, 3.0, -3.0, 3.0)
 DEFAULT_GRID = 256
 DEFAULT_SAMPLES = 100
-MAX_GRID = 2048
-MAX_SAMPLES = 10000
 
 
-def _window(text: str) -> tuple[float, float, float, float]:
+def _window(text: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("window must be XMIN,XMAX,YMIN,YMAX")
     try:
-        xmin, xmax, ymin, ymax = (float(p) for p in parts)
+        return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"window values must be floats: {exc}")
-    if not all(math.isfinite(v) for v in (xmin, xmax, ymin, ymax)):
-        raise argparse.ArgumentTypeError(f"window values must be finite, got {text!r}")
-    return (xmin, xmax, ymin, ymax)
-
-
-def _capped_int(limit: int):
-    """argparse type for an integer option of at most limit."""
-    def convert(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"{value} exceeds the cap of {limit}")
-        return value
-    return convert
 
 
 def _read_poly_text(arg: str) -> str:
     if arg != "-":
         return arg
-    for line in sys.stdin.read().splitlines():
+    for line in sys.stdin:  # stops at the polynomial, so what follows is never read
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             return stripped
     raise ParseError("no polynomial on stdin", 1)
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational: {exc}")
 
 
 def _curve_from(arg: str):
@@ -120,7 +102,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_conic_dual(args) -> int:
-    values = [_rational(text) for text in args.coefficients]
+    # a coefficient is a constant of the input grammar, such as -3/7 or 2^3
+    values = [evaluate_exact(parse(text), {}) for text in args.coefficients]
     from .dualize import ConicMatrix, DegenerateCurveError, conic_dual_matrix
     source = ConicMatrix.of(*values)
     if not source.is_degree_two():
@@ -137,8 +120,8 @@ def cmd_conic_dual(args) -> int:
 def cmd_verify(args) -> int:
     curve = _curve_from(args.poly)
     from .dualize import RESIDUAL_THRESHOLD, dual_curve, sample_curve, verify_duality
+    samples = sample_curve(curve, args.window, args.samples)  # checks window and count
     dual = dual_curve(curve)
-    samples = sample_curve(curve, args.window, args.samples)
     report = verify_duality(curve, dual, samples)
     print(f"max_residual: {report.max_residual:.3e}")
     print(f"tested: {report.tested}")
@@ -150,10 +133,10 @@ def cmd_plot(args) -> int:
     curve = _curve_from(args.poly)
     from .dualize import dual_curve
     from .plot import Viewport, render_svg, trace_implicit, two_panel_scene
-    dual = dual_curve(curve)
     panel = Viewport(*args.window)
-    scene = two_panel_scene(panel, trace_implicit(curve.f, panel, args.grid),
-                            trace_implicit(dual.g, panel, args.grid))
+    source = trace_implicit(curve.f, panel, args.grid)  # checks the grid
+    dual = dual_curve(curve)
+    scene = two_panel_scene(panel, source, trace_implicit(dual.g, panel, args.grid))
     return _write_output(render_svg(scene), args.out)
 
 
@@ -174,7 +157,7 @@ def cmd_eval(args) -> int:
             raise ValueError(f"unknown variable {name!r}")
         if VAR_BY_NAME[name] in point:
             raise ValueError(f"variable {name!r} is bound twice")
-        point[VAR_BY_NAME[name]] = _rational(value.strip())
+        point[VAR_BY_NAME[name]] = evaluate_exact(parse(value), {})
     print(f"value: {evaluate_exact(poly, point)}")
     return 0
 
@@ -187,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     options = {
         "--window": dict(type=_window, default=DEFAULT_WINDOW, metavar="XMIN,XMAX,YMIN,YMAX"),
-        "--grid": dict(type=_capped_int(MAX_GRID), default=DEFAULT_GRID),
-        "--samples": dict(type=_capped_int(MAX_SAMPLES), default=DEFAULT_SAMPLES),
+        "--grid": dict(type=int, default=DEFAULT_GRID),
+        "--samples": dict(type=int, default=DEFAULT_SAMPLES),
         "--spacing": dict(type=float, default=DEFAULT_SPACING),
         "--out": dict(default=None),
         "--at": dict(required=True, metavar="VAR=RAT,...",

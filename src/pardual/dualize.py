@@ -48,6 +48,7 @@ F_TOL_REL = 1e-12          # on-curve residual, relative to local term scale
 GRADIENT_TOL = 1e-9
 RESIDUAL_THRESHOLD = 1e-6  # verification pass mark
 MAX_SOURCE_DEGREE = 12     # x1^12 + x2^12 - 1: 23.7-26.7 s in process, 2 cores; each degree ~2.5x
+MAX_SAMPLES = 10000        # sample_curve's target_count
 
 _SAMPLES_PER_LINE = 64
 _BISECT_STEPS = 80
@@ -324,11 +325,12 @@ def point_to_polyline(values: Sequence[Fraction | float],
 
 
 def _require_window(window: tuple[float, float, float, float]) -> None:
+    # spans first: a NaN bound also fails the order test, but it is not finite
     xmin, xmax, ymin, ymax = window
-    if not (xmin < xmax and ymin < ymax):
-        raise ValueError("window must be nonempty")
     if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
         raise ValueError(f"window {window} has an x or y span that is not finite")
+    if not (xmin < xmax and ymin < ymax):
+        raise ValueError("window must be nonempty")
 
 
 def _require_finite(names: str, *values: float) -> None:
@@ -385,13 +387,14 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
     bisects and Newton-polishes each root, and drops near-singular points
     (gradient norm at most GRADIENT_TOL times the partials' largest |term|).
     Returns up to target_count points, evenly thinned in scan order.  A
-    window that _require_window refuses raises ValueError; a root, f value
-    or gradient that is not finite raises OverflowError.
+    window that _require_window refuses, or a target_count outside 1 to
+    MAX_SAMPLES, raises ValueError; a root, f value or gradient that is
+    not finite raises OverflowError.
     """
     xmin, xmax, ymin, ymax = window
     _require_window(window)
-    if target_count < 1:
-        raise ValueError("target_count must be at least 1")
+    if not 1 <= target_count <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be from 1 to {MAX_SAMPLES} (got {target_count})")
     f, fx1, fx2 = _float_forms(curve.f)
     lines = max(16, 2 * target_count)
 

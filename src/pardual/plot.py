@@ -40,6 +40,7 @@ Point = tuple[float, float]
 Segment = tuple[Point, Point]
 
 PANEL_GAP_FRACTION = 0.08
+MAX_GRID = 2048  # trace_implicit's cells per side
 
 # Maps the first byte of a big-endian double to "1" when its sign bit is set.
 _SIGN_DIGITS = b"0" * 128 + b"1" * 128
@@ -200,7 +201,8 @@ def _column_sign(c0: float, coeffs: list[float],
 
 def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     """March a grid x grid cell mesh over the viewport and return the
-    zero-set segments of p (empty when the curve misses the window).
+    zero-set segments of p (empty when the curve misses the window); grid
+    runs from 16 to MAX_GRID.
 
     p is compiled once; the y**b powers are taken once per grid row, and
     each grid column x = xv takes p's coefficients in y, form.line(ax, xv),
@@ -274,8 +276,8 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     (right, top); with br and tl negative a negative center gives
     (bottom, left), (right, top) and any other (bottom, right), (top, left).
     """
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
+    if not 16 <= grid <= MAX_GRID:
+        raise ValueError(f"grid must be from 16 to {MAX_GRID} (got {grid})")
     ax, ay = _axes_pair(p)
     form = FloatForm(p, ax, ay)
     xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]

@@ -208,9 +208,14 @@ class _Parser:
 
 
 def parse(text: str) -> Polynomial:
-    """Parse the expression language into an exact Polynomial."""
+    """Parse the expression language into an exact Polynomial.  Nesting
+    is bounded by the interpreter's recursion limit: parentheses nested
+    past it are a ParseError at the token where parsing stopped."""
     parser = _Parser(_tokenize(text))
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", parser.peek()[2]) from None
     kind, _, position = parser.peek()
     if kind != _END:
         raise ParseError("unexpected trailing input", position)

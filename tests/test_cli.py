@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from helpers import evaluate_float
-from pardual.cli import MAX_GRID, MAX_SAMPLES, build_parser, main
-from pardual.dualize import DEFAULT_SPACING
+from pardual.cli import build_parser, main
+from pardual.dualize import DEFAULT_SPACING, MAX_SAMPLES
+from pardual.plot import MAX_GRID
 from pardual.polyparse import parse
 from pardual.polyring import FloatForm, content_and_primitive, X, Y
 
@@ -121,6 +122,27 @@ class TestDualCommand:
         assert code == 0
         assert out.startswith("dual: 2*x^2 - y^2 - 2*x + 1\n")
 
+    def test_stdin_read_up_to_the_polynomial(self, capsys, monkeypatch):
+        # what follows the polynomial line, however long, is never read
+        class Stdin:
+            def read(self, *args):
+                raise AssertionError("stdin read whole")
+
+            def __iter__(self):
+                yield "# circle\n"
+                yield "x1^2 + x2^2 - 1\n"
+                raise AssertionError("stdin read past the polynomial")
+
+        monkeypatch.setattr("sys.stdin", Stdin())
+        code, out, _ = run(capsys, "dual", "-")
+        assert code == 0
+        assert out.startswith("dual: 2*x^2 - y^2 - 2*x + 1\n")
+
+    def test_deep_parentheses_exit_2(self, capsys):
+        code, out, err = run(capsys, "dual", "(" * 1000 + "x1" + ")" * 1000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parentheses nested too deeply at offset ")
+
     def test_byte_identical_stdout(self, capsys):
         _, first, _ = run(capsys, "dual", "x1^3 - x1^2 - x2^2 + x2 - 1")
         _, second, _ = run(capsys, "dual", "x1^3 - x1^2 - x2^2 + x2 - 1")
@@ -158,6 +180,15 @@ class TestConicDualCommand:
     def test_malformed_rational(self, capsys):
         code, _, err = run(capsys, "conic-dual", "1", "1", "zebra", "0", "0", "0")
         assert code == 2
+
+    def test_coefficients_follow_the_grammar(self, capsys):
+        # the parser's literal rule and caps: no exponent notation, at most 4000 digits
+        assert run(capsys, "conic-dual", "--", "1e1000000", "1", "-1", "0", "0", "0") == (
+            2, "", "error: unexpected trailing input at offset 2\n")
+        assert run(capsys, "conic-dual", "9" * 4001, "1", "-1", "0", "0", "0") == (
+            2, "", "error: coefficient overflow (> 10^4000) at offset 1\n")
+        code, out, _ = run(capsys, "conic-dual", "--", "2^0", "(1)", "-1", "0", "0", "0")
+        assert (code, out.splitlines()[-1]) == (0, "dual: -2*x^2 + y^2 + 2*x - 1")
 
     def test_consistent_with_dual_command(self, capsys):
         coeffs = ("2", "3", "-5", "1/2", "0", "1")
@@ -412,18 +443,20 @@ class TestCommandSurface:
         assert exc.value.code == 2
 
     def test_caps(self, capsys):
-        args = build_parser().parse_args(["plot", "--grid", str(MAX_GRID), "x1"])
-        assert args.grid == MAX_GRID
-        args = build_parser().parse_args(["verify", "--samples", str(MAX_SAMPLES), "x1"])
-        assert args.samples == MAX_SAMPLES
-        for argv in (["plot", "--grid", str(MAX_GRID + 1), "x1"],
-                     ["plot", "--grid", "many", "x1"],
-                     ["verify", "--samples", str(MAX_SAMPLES + 1), "x1"],
-                     ["plot-envelope", "--samples", "10" * 10, "x1"]):
-            with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(argv)
-            assert exc.value.code == 2
-        assert "exceeds the cap" in capsys.readouterr().err
+        # argparse reads an int; trace_implicit and sample_curve own the caps
+        args = build_parser().parse_args(["plot", "--grid", str(MAX_GRID + 1), "x1"])
+        assert args.grid == MAX_GRID + 1
+        for argv, err in (
+                (["plot", "--grid", str(MAX_GRID + 1)],
+                 f"error: grid must be from 16 to {MAX_GRID} (got {MAX_GRID + 1})\n"),
+                (["verify", "--samples", str(MAX_SAMPLES + 1)],
+                 f"error: sample count must be from 1 to {MAX_SAMPLES} (got {MAX_SAMPLES + 1})\n"),
+                (["plot-envelope", "--samples", "10" * 10],
+                 f"error: sample count must be from 1 to {MAX_SAMPLES} (got {'10' * 10})\n")):
+            assert run(capsys, *argv, "--", "x1^2 + x2^2 - 1") == (2, "", err)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["plot", "--grid", "many", "x1"])
+        assert exc.value.code == 2
 
     def test_spacing_default(self):
         args = build_parser().parse_args(["plot-envelope", "x1"])
@@ -438,12 +471,11 @@ class TestCommandSurface:
     @pytest.mark.parametrize("command", ["verify", "plot", "plot-envelope"])
     @pytest.mark.parametrize("window", ["-inf,inf,-3,3", "-3,3,nan,3"])
     def test_nonfinite_window_exit_2(self, command, window, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "x1^2 + x2^2 - 1", f"--window={window}"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "finite" in captured.err
+        # argparse reads the floats and dualize's window rule refuses them:
+        # spans first, so a NaN bound is not finite rather than empty
+        code, out, err = run(capsys, command, "x1^2 + x2^2 - 1", f"--window={window}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: window (") and "not finite" in err
 
     @pytest.mark.parametrize("command", ["verify", "plot", "plot-envelope"])
     @pytest.mark.parametrize("window", ["1,0,0,1", "0,1,1,1"])
@@ -534,13 +566,12 @@ class TestCommandSurface:
 
     @pytest.mark.parametrize("argv, err", [
         (["conic-dual", "1", "1", "zebra", "0", "0", "0"],
-         "error: malformed rational: Invalid literal for Fraction: 'zebra'\n"),
-        (["conic-dual", "1", "1", "1/0", "0", "0", "0"],
-         "error: malformed rational: Fraction(1, 0)\n"),
+         "error: unknown variable 'zebra' at offset 1\n"),
+        (["conic-dual", "1", "1", "1/0", "0", "0", "0"], "error: zero denominator at offset 3\n"),
         (["conic-dual", "0", "0", "1", "0", "1", "1"],
          "error: A1, A2, A4 all zero: not a degree-2 curve\n"),
         (["eval", "x1", "--at", "zebra=1"], "error: unknown variable 'zebra'\n"),
-        (["eval", "x1", "--at", "x1=1/0"], "error: malformed rational: Fraction(1, 0)\n"),
+        (["eval", "x1", "--at", "x1=1/0"], "error: zero denominator at offset 3\n"),
         (["eval", "x1", "--at", "x1=1, x1=2"], "error: variable 'x1' is bound twice\n"),
         # x3, eta, xi and psi are the paper's notation, not variables
         (["eval", "--at", "x1=1,eta=1", "--", "x1"], "error: unknown variable 'eta'\n"),
@@ -550,6 +581,47 @@ class TestCommandSurface:
     ])
     def test_input_error_line(self, argv, err, capsys):
         assert run(capsys, *argv) == (2, "", err)
+
+
+class TestArgumentsBeforeElimination:
+    """Each handler runs the library's argument checks, by sampling or
+    tracing the source, before it takes a resultant."""
+
+    TENTH = "x1^10 + x2^10 - 1"  # its dual takes seconds
+
+    @pytest.fixture
+    def resultant_calls(self, monkeypatch):
+        calls = []
+
+        def resultant(*forms):
+            calls.append(forms)
+            raise RuntimeError("resultant called")
+        monkeypatch.setattr("pardual.elimination.resultant", resultant)
+        return calls
+
+    def test_patch_reaches_dual_curve(self, resultant_calls, capsys):
+        with pytest.raises(RuntimeError, match="resultant called"):
+            main(["dual", "--", self.TENTH])
+        assert len(resultant_calls) == 1
+
+    @pytest.mark.parametrize("argv, err", [
+        (["verify", "--window=1,0,0,1"], "error: window must be nonempty\n"),
+        (["plot", "--window=1,0,0,1"], "error: window must be nonempty\n"),
+        (["verify", "--window=-3,3,nan,3"],
+         "error: window (-3.0, 3.0, nan, 3.0) has an x or y span that is not finite\n"),
+        (["plot", "--window=-inf,inf,-3,3"],
+         "error: window (-inf, inf, -3.0, 3.0) has an x or y span that is not finite\n"),
+        (["plot", "--window=0,1e-320,0,1"],
+         "error: window (0.0, 1e-320, 0.0, 1.0) has a pixel scale that is not finite\n"),
+        (["verify", "--samples", "0"], "error: sample count must be from 1 to 10000 (got 0)\n"),
+        (["verify", "--samples", "10001"],
+         "error: sample count must be from 1 to 10000 (got 10001)\n"),
+        (["plot", "--grid", "8"], "error: grid must be from 16 to 2048 (got 8)\n"),
+        (["plot", "--grid", "2049"], "error: grid must be from 16 to 2048 (got 2049)\n"),
+    ])
+    def test_refused_before_the_resultant(self, argv, err, resultant_calls, capsys):
+        assert run(capsys, *argv, "--", self.TENTH) == (2, "", err)
+        assert resultant_calls == []
 
 
 class TestReadmeExamples:
@@ -593,6 +665,21 @@ class TestEvalCommand:
     def test_unknown_variable(self, capsys):
         code, _, err = run(capsys, "eval", "x1", "--at", "zebra=1")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["1e100000", "1.5", "1_000", "+1", "9" * 5000,
+                                       "(" * 1000 + "1" + ")" * 1000],
+                             ids=["exponent", "decimal", "underscore", "plus", "5000-digits",
+                                  "deep-parentheses"])
+    def test_value_follows_the_grammar(self, value, capsys):
+        # one literal rule, the parser's, with its 4000-digit cap and budgets
+        code, out, err = run(capsys, "eval", "--at", f"x1={value}", "--", "x1^64")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_signed_and_constant_values(self, capsys):
+        assert run(capsys, "eval", "--at", "x1=-3/7,x2=2", "--", "x1^2 + x2^2 - 2") == (
+            0, "value: 107/49\n", "")
+        assert run(capsys, "eval", "--at", "x1=2^3", "--", "x1") == (0, "value: 8\n", "")
 
 
 # Runs one command through pardual.cli.main, or imports the package when

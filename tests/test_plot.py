@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pardual import plot
-from pardual.cli import MAX_GRID
 from pardual.dualize import ImplicitCurve, dual_curve, line_dual_point, sample_curve
 from pardual.plot import (
+    MAX_GRID,
     PlaneScene,
     Viewport,
     _column_sign,

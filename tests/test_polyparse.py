@@ -206,6 +206,12 @@ class TestParseErrors:
             parse(text)
         assert err.value.position == position
 
+    def test_deep_parentheses(self):
+        # nesting past the recursion limit is a ParseError, not a RecursionError
+        with pytest.raises(ParseError, match="parentheses nested too deeply"):
+            parse("(" * 1000 + "x1" + ")" * 1000)
+        assert parse("(" * 100 + "x1" + ")" * 100) == parse("x1")
+
     def test_division_between_factors(self):
         with pytest.raises(ParseError):
             parse("x1/2")
