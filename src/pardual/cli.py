@@ -12,13 +12,10 @@ main prints the "error:" line and exits with the error's exit_code
 dualize or plot once its input parses, and elimination only when it takes
 a resultant.
 
-This module only turns text into values: a window into four floats,
---grid and --samples into ints, and each rational (an --at value, a
-conic-dual coefficient) into a constant of the input grammar, with its
-caps.  The library function that uses a value checks it (Viewport and
-sample_curve the window, trace_implicit the grid, sample_curve and
-envelope_scene the sample count), and verify and plot run those checks,
-by sampling or tracing the source first, before dual_curve.
+This module only turns text into values, each rational into a constant of
+the input grammar; the library function that uses a value checks it.
+verify and plot test the source degree, then sample or trace the source,
+all before dual_curve.
 
 `pardual` and `python -m pardual.cli` go through run: once main returns,
 stdout and stderr are flushed and the process ends by os._exit, skipping
@@ -102,7 +99,6 @@ def cmd_dual(args) -> int:
 
 
 def cmd_conic_dual(args) -> int:
-    # a coefficient is a constant of the input grammar, such as -3/7 or 2^3
     values = [evaluate_exact(parse(text), {}) for text in args.coefficients]
     from .dualize import ConicMatrix, DegenerateCurveError, conic_dual_matrix
     source = ConicMatrix.of(*values)
@@ -119,7 +115,9 @@ def cmd_conic_dual(args) -> int:
 
 def cmd_verify(args) -> int:
     curve = _curve_from(args.poly)
-    from .dualize import RESIDUAL_THRESHOLD, dual_curve, sample_curve, verify_duality
+    from .dualize import (RESIDUAL_THRESHOLD, _require_degree, dual_curve, sample_curve,
+                          verify_duality)
+    _require_degree(curve)
     samples = sample_curve(curve, args.window, args.samples)  # checks window and count
     dual = dual_curve(curve)
     report = verify_duality(curve, dual, samples)
@@ -131,8 +129,9 @@ def cmd_verify(args) -> int:
 
 def cmd_plot(args) -> int:
     curve = _curve_from(args.poly)
-    from .dualize import dual_curve
+    from .dualize import _require_degree, dual_curve
     from .plot import Viewport, render_svg, trace_implicit, two_panel_scene
+    _require_degree(curve)
     panel = Viewport(*args.window)
     source = trace_implicit(curve.f, panel, args.grid)  # checks the grid
     dual = dual_curve(curve)

@@ -149,10 +149,7 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
     the check R == 0, which alone decides degeneracy (x1^2's partial in x2
     vanishes, and so does R), are those of the resultant in (eta, xi, psi).
     """
-    if curve.n < 2:
-        raise DegreeError("dual_curve needs degree >= 2 (lines dualize to points)")
-    if curve.n > MAX_SOURCE_DEGREE:
-        raise DegreeError(f"dual_curve supports degree <= {MAX_SOURCE_DEGREE} (got {curve.n})")
+    _require_degree(curve)
     # elimination loads here, not with this module: the commands that reject
     # a degree or never take a resultant (conic-dual, plot-envelope) skip it
     from .elimination import resultant
@@ -301,6 +298,18 @@ def point_image_on_dual(curve: ImplicitCurve, point: tuple[float, float]) -> Pla
     return _image(_float_forms(curve.f), point)
 
 
+def _require_degree(curve: ImplicitCurve) -> None:
+    if curve.n < 2:
+        raise DegreeError("dual_curve needs degree >= 2 (lines dualize to points)")
+    if curve.n > MAX_SOURCE_DEGREE:
+        raise DegreeError(f"dual_curve supports degree <= {MAX_SOURCE_DEGREE} (got {curve.n})")
+
+
+def _require_sample_count(count: int, least: int = 1) -> None:
+    if not least <= count <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be from {least} to {MAX_SAMPLES} (got {count})")
+
+
 def _require_spacing(d: float) -> None:
     if not 0 < d < math.inf:
         raise ValueError("axis spacing must be positive and finite")
@@ -393,8 +402,7 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
     """
     xmin, xmax, ymin, ymax = window
     _require_window(window)
-    if not 1 <= target_count <= MAX_SAMPLES:
-        raise ValueError(f"sample count must be from 1 to {MAX_SAMPLES} (got {target_count})")
+    _require_sample_count(target_count)
     f, fx1, fx2 = _float_forms(curve.f)
     lines = max(16, 2 * target_count)
 

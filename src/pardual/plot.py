@@ -32,8 +32,8 @@ import math
 import struct
 from typing import Iterator, NamedTuple
 
-from .dualize import (ImplicitCurve, _require_spacing, _require_window, point_to_polyline,
-                      sample_curve)
+from .dualize import (ImplicitCurve, _require_sample_count, _require_spacing, _require_window,
+                      point_to_polyline, sample_curve)
 from .polyring import DEFAULT_SPACING, X, X1, X2, Y, FloatForm, Polynomial, variables
 
 Point = tuple[float, float]
@@ -387,8 +387,7 @@ def envelope_scene(curve: ImplicitCurve, sample_count: int, vp: Viewport,
     """The over-plotting picture: every sampled curve point drawn as its
     dual line (the full line through its polyline's two vertices, clipped);
     together the lines envelope the dual curve."""
-    if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
+    _require_sample_count(sample_count, 2)
     _require_spacing(spacing)
     samples = sample_curve(curve, vp.window(), sample_count)
     segments = []

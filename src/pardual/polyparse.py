@@ -208,9 +208,8 @@ class _Parser:
 
 
 def parse(text: str) -> Polynomial:
-    """Parse the expression language into an exact Polynomial.  Nesting
-    is bounded by the interpreter's recursion limit: parentheses nested
-    past it are a ParseError at the token where parsing stopped."""
+    """Parse the expression language into an exact Polynomial; parentheses
+    nested past the recursion limit are a ParseError where parsing stopped."""
     parser = _Parser(_tokenize(text))
     try:
         value = parser.expr()

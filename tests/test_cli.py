@@ -452,11 +452,26 @@ class TestCommandSurface:
                 (["verify", "--samples", str(MAX_SAMPLES + 1)],
                  f"error: sample count must be from 1 to {MAX_SAMPLES} (got {MAX_SAMPLES + 1})\n"),
                 (["plot-envelope", "--samples", "10" * 10],
-                 f"error: sample count must be from 1 to {MAX_SAMPLES} (got {'10' * 10})\n")):
+                 f"error: sample count must be from 2 to {MAX_SAMPLES} (got {'10' * 10})\n")):
             assert run(capsys, *argv, "--", "x1^2 + x2^2 - 1") == (2, "", err)
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["plot", "--grid", "many", "x1"])
         assert exc.value.code == 2
+
+    def test_sample_count_at_the_cap_accepted(self, monkeypatch, capsys):
+        # a count equal to MAX_SAMPLES passes the range check and reaches the
+        # float step, which the patch turns into a sentinel
+        class Reached(Exception):
+            pass
+
+        def float_forms(f):
+            raise Reached
+        monkeypatch.setattr("pardual.dualize._float_forms", float_forms)
+        for command in ("verify", "plot-envelope"):
+            with pytest.raises(Reached):
+                main([command, "--samples", str(MAX_SAMPLES), "--", "x1^2 + x2^2 - 1"])
+        assert run(capsys, "plot-envelope", "--samples", "1", "--", "x1^2 + x2^2 - 1") == (
+            2, "", f"error: sample count must be from 2 to {MAX_SAMPLES} (got 1)\n")
 
     def test_spacing_default(self):
         args = build_parser().parse_args(["plot-envelope", "x1"])
@@ -584,8 +599,9 @@ class TestCommandSurface:
 
 
 class TestArgumentsBeforeElimination:
-    """Each handler runs the library's argument checks, by sampling or
-    tracing the source, before it takes a resultant."""
+    """Each handler tests dual_curve's degree rule and runs the library's
+    argument checks, by sampling or tracing the source, before it takes a
+    resultant."""
 
     TENTH = "x1^10 + x2^10 - 1"  # its dual takes seconds
 
@@ -622,6 +638,32 @@ class TestArgumentsBeforeElimination:
     def test_refused_before_the_resultant(self, argv, err, resultant_calls, capsys):
         assert run(capsys, *argv, "--", self.TENTH) == (2, "", err)
         assert resultant_calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--samples", "10000"],
+        ["plot", "--grid", "2048"],
+        ["plot", "--grid", "8"],
+    ])
+    @pytest.mark.parametrize("poly, err", [
+        ("x1^13 + x2^13 - 1", "error: dual_curve supports degree <= 12 (got 13)\n"),
+        ("(x1 + x2 + 1)^64", "error: dual_curve supports degree <= 12 (got 64)\n"),
+        ("x1 + x2", "error: dual_curve needs degree >= 2 (lines dualize to points)\n"),
+    ])
+    def test_degree_refused_before_sampling_or_tracing(self, argv, poly, err, resultant_calls,
+                                                       monkeypatch, capsys):
+        # dual_curve's degree rule is tested first, so a degree it refuses
+        # costs no scan of the window, however large the grid or count
+        calls = []
+
+        def record(name):
+            def fake(*args, **kwargs):
+                calls.append(name)
+                raise RuntimeError(f"{name} called")
+            return fake
+        monkeypatch.setattr("pardual.dualize.sample_curve", record("sample_curve"))
+        monkeypatch.setattr("pardual.plot.trace_implicit", record("trace_implicit"))
+        assert run(capsys, *argv, "--", poly) == (4, "", err)
+        assert calls == [] and resultant_calls == []
 
 
 class TestReadmeExamples:
