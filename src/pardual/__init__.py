@@ -7,11 +7,9 @@ loads no submodule; `pardual.dual_curve` imports pardual.dualize then.
 from importlib import import_module
 
 _EXPORTS = {
-    "dualize": ("ConicMatrix", "CurveSamples", "DegenerateCurveError", "DegreeError",
-                "DualCurve", "IdealPointError", "ImplicitCurve", "NoSamplesError",
-                "PlanePoint", "VerifyReport", "conic_dual_matrix", "dual_curve",
-                "line_dual_point", "point_image_on_dual", "point_to_polyline",
-                "sample_curve", "verify_duality"),
+    "dualize": ("ConicMatrix", "DegenerateCurveError", "DegreeError", "DualCurve",
+                "ImplicitCurve", "NoSamplesError", "VerifyReport", "conic_dual_matrix",
+                "dual_curve", "point_to_polyline", "sample_curve", "verify_duality"),
     "polyparse": ("ParseError", "parse", "print_poly"),
     "polyring": ("Polynomial",),
 }

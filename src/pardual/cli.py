@@ -37,10 +37,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 from typing import NoReturn
 
 from .polyparse import ParseError, parse, print_poly
-from .polyring import DEFAULT_SPACING, VAR_BY_NAME, X, Y, evaluate_exact, total_degree
+from .polyring import (DEFAULT_SPACING, VAR_BY_NAME, VAR_NAMES, X, Y, evaluate_exact,
+                       total_degree, variables)
 
 DEFAULT_WINDOW = (-3.0, 3.0, -3.0, 3.0)
 DEFAULT_GRID = 256
@@ -55,6 +57,20 @@ def _window(text: str) -> tuple[float, ...]:
         return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"window values must be floats: {exc}")
+
+
+def _constant(name: str, text: str) -> Fraction:
+    """A value argument (a conic-dual coefficient or an --at value), which
+    must be a constant of the input grammar; an error names the argument."""
+    try:
+        value = parse(text)
+    except ParseError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    used = variables(value)
+    if used:
+        names = ", ".join(VAR_NAMES[var] for var in sorted(used))
+        raise ValueError(f"{name}: a value must be a constant (found {names})")
+    return evaluate_exact(value, {})
 
 
 def _read_poly_text(arg: str) -> str:
@@ -99,7 +115,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_conic_dual(args) -> int:
-    values = [evaluate_exact(parse(text), {}) for text in args.coefficients]
+    values = [_constant(f"A{i}", text) for i, text in enumerate(args.coefficients, 1)]
     from .dualize import ConicMatrix, DegenerateCurveError, conic_dual_matrix
     source = ConicMatrix.of(*values)
     if not source.is_degree_two():
@@ -156,7 +172,7 @@ def cmd_eval(args) -> int:
             raise ValueError(f"unknown variable {name!r}")
         if VAR_BY_NAME[name] in point:
             raise ValueError(f"variable {name!r} is bound twice")
-        point[VAR_BY_NAME[name]] = evaluate_exact(parse(value), {})
+        point[VAR_BY_NAME[name]] = _constant(f"--at {name}", value)
     print(f"value: {evaluate_exact(poly, point)}")
     return 0
 

@@ -9,9 +9,11 @@ take their resultant (evaluated and interpolated, see elimination);
 strip the y power; normalize.  Polynomial appears only at the edges of
 that path, f going in and the resultant coming out: in between, a
 coefficient in (x, y) is a map {(i, j): coefficient of x^i * y^j}.
-A numeric sampling oracle (sample_curve + verify_duality) cross-checks
-the symbolic output against the fundamental point-image map, and a
-closed form covers the conic special case.
+A numeric sampling oracle cross-checks the symbolic output: sample_curve
+returns a tuple of (x1, x2) points of f = 0, and verify_duality evaluates
+g at their images under the fundamental point-image map, raising
+ValueError for a point off the curve.  A closed form covers the conic
+special case.
 """
 
 from __future__ import annotations
@@ -65,28 +67,21 @@ class DegenerateCurveError(ValueError):
     exit_code = 3
 
 
-class IdealPointError(ValueError):
-    """The requested image lies at infinity (slope-1 tangent)."""
-
-
 class NoSamplesError(ValueError):
     """Verification had nothing to test."""
     exit_code = 5
-
-
-class PlanePoint(NamedTuple):
-    x: float
-    y: float
 
 
 class ImplicitCurve:
     """Curve f(x1, x2) = 0 of degree n >= 1; irreducibility is the caller's
     promise (the R == 0 check in dual_curve is the safety net).
 
-    Plain exact data.  Each float view (sample_curve, point_image_on_dual,
-    verify_duality) compiles f and its partials once per call, so the
-    exact dual never converts a coefficient to a float: one beyond the
-    float range raises OverflowError only in a float view."""
+    Plain exact data.  Each float view (sample_curve, which returns a
+    tuple of (x1, x2) points on f = 0, and verify_duality, which takes
+    such points and raises ValueError for one off the curve) compiles f
+    and its partials once per call, so the exact dual never converts a
+    coefficient to a float: one beyond the float range raises
+    OverflowError only in a float view."""
 
     __slots__ = ("f", "n")
 
@@ -112,13 +107,6 @@ class DualCurve(NamedTuple):
     g: Polynomial
     source_degree: int
     psi_power_removed: int
-
-
-class CurveSamples(NamedTuple):
-    """Points on f = 0 and the gradient (f1, f2) at each."""
-
-    points: tuple[tuple[float, float], ...]
-    gradients: tuple[tuple[float, float], ...]
 
 
 class VerifyReport(NamedTuple):
@@ -278,26 +266,6 @@ def _float_forms(f: Polynomial) -> tuple[FloatForm, FloatForm, FloatForm]:
                  for p in (f, partial_derivative(f, X1), partial_derivative(f, X2)))
 
 
-def _image(forms: tuple[FloatForm, FloatForm, FloatForm],
-           point: tuple[float, float]) -> PlanePoint:
-    f, f1, f2 = forms
-    x1v, x2v = point
-    value, scale = f.at(x1v, x2v)
-    if not abs(value) <= F_TOL_REL * (1.0 + scale):  # a NaN value is off the curve
-        raise ValueError(f"point {point} is not on the curve (|f| = {abs(value):.3g})")
-    (g1, scale1), (g2, scale2) = f1.at(x1v, x2v), f2.at(x1v, x2v)
-    denominator = g1 + g2
-    if abs(denominator) <= GRADIENT_TOL * max(scale1, scale2):
-        raise IdealPointError("slope-1 tangent maps to ideal point")
-    return PlanePoint(g2 / denominator, (x1v * g1 + x2v * g2) / denominator)
-
-
-def point_image_on_dual(curve: ImplicitCurve, point: tuple[float, float]) -> PlanePoint:
-    """Image of a curve point under the fundamental duality:
-    x = f2 / (f1 + f2), y = (x1*f1 + x2*f2) / (f1 + f2)."""
-    return _image(_float_forms(curve.f), point)
-
-
 def _require_degree(curve: ImplicitCurve) -> None:
     if curve.n < 2:
         raise DegreeError("dual_curve needs degree >= 2 (lines dualize to points)")
@@ -315,22 +283,14 @@ def _require_spacing(d: float) -> None:
         raise ValueError("axis spacing must be positive and finite")
 
 
-def line_dual_point(m: float, b: float, d: float = DEFAULT_SPACING) -> PlanePoint:
-    """Dual point of the line x2 = m*x1 + b, axes d apart."""
-    _require_spacing(d)
-    if m == 1:
-        raise IdealPointError("slope-1 line maps to an ideal point")
-    return PlanePoint(d / (1.0 - m), b / (1.0 - m))
-
-
 def point_to_polyline(values: Sequence[Fraction | float],
-                      d: float = DEFAULT_SPACING) -> list[PlanePoint]:
+                      d: float = DEFAULT_SPACING) -> list[tuple[float, float]]:
     """Polygonal-line representation of an n-dimensional point: vertex i
     sits at ((i-1)*d, c_i) on the i-th axis."""
     if len(values) < 2:
         raise ValueError("a polyline needs at least two coordinates")
     _require_spacing(d)
-    return [PlanePoint(i * d, float(c)) for i, c in enumerate(values)]
+    return [(i * d, float(c)) for i, c in enumerate(values)]
 
 
 def _require_window(window: tuple[float, float, float, float]) -> None:
@@ -388,8 +348,8 @@ def _refine_root(coeffs: list[float], lo: float, hi: float, flo: float) -> float
 
 
 def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float],
-                 target_count: int) -> CurveSamples:
-    """Deterministic real points of f = 0 inside the window.
+                 target_count: int) -> tuple[tuple[float, float], ...]:
+    """Deterministic real points (x1, x2) of f = 0 inside the window, as a tuple.
 
     Compiles f and its partials, scans horizontal and vertical grid lines
     (at least 4 * target_count lines in total), brackets sign changes,
@@ -407,7 +367,6 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
     lines = max(16, 2 * target_count)
 
     points: list[tuple[float, float]] = []
-    gradients: list[tuple[float, float]] = []
 
     def accept(x1v: float, x2v: float) -> None:
         value, scale = f.at(x1v, x2v)
@@ -419,7 +378,6 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
         if math.hypot(g1, g2) <= GRADIENT_TOL * max(scale1, scale2):
             return
         points.append((x1v, x2v))
-        gradients.append((g1, g2))
 
     def scan(fixed_var: int, fixed_lo: float, fixed_hi: float,
              free_lo: float, free_hi: float) -> None:
@@ -457,29 +415,36 @@ def sample_curve(curve: ImplicitCurve, window: tuple[float, float, float, float]
             picks = [round(i * (len(points) - 1) / (target_count - 1))
                      for i in range(target_count)]
         points = [points[i] for i in picks]
-        gradients = [gradients[i] for i in picks]
-    return CurveSamples(tuple(points), tuple(gradients))
+    return tuple(points)
 
 
 def verify_duality(curve: ImplicitCurve, dual: DualCurve,
-                   samples: CurveSamples) -> VerifyReport:
+                   samples: Sequence[tuple[float, float]]) -> VerifyReport:
     """Evaluate the dual polynomial at every sample's image point.
 
-    The residual is |g(x, y)| / (1 + max |term of g at (x, y)|); samples
-    whose tangent has slope 1 are skipped, and a residual that is not
-    finite raises OverflowError.  f, its partials and g compile once.
+    samples are (x1, x2) points on f = 0, as sample_curve returns them; a
+    point off the curve, or NaN, raises ValueError.  Each point maps to
+    x = f2 / (f1 + f2), y = (x1*f1 + x2*f2) / (f1 + f2), where its residual
+    is |g(x, y)| / (1 + max |term of g at (x, y)|).  A point whose image is
+    ideal (a slope-1 tangent, or a node) counts as skipped; a residual that
+    is not finite raises OverflowError.  f, its partials and g compile once.
     """
-    forms = _float_forms(curve.f)
+    f, f1, f2 = _float_forms(curve.f)
     g = FloatForm(dual.g, X, Y)
     tested = 0
     skipped = 0
     worst = 0.0
-    for point in samples.points:
-        try:
-            x, y = _image(forms, point)
-        except IdealPointError:
+    for point in samples:
+        x1v, x2v = point
+        value, scale = f.at(x1v, x2v)
+        if not abs(value) <= F_TOL_REL * (1.0 + scale):  # a NaN value is off the curve
+            raise ValueError(f"point {point} is not on the curve (|f| = {abs(value):.3g})")
+        (g1, scale1), (g2, scale2) = f1.at(x1v, x2v), f2.at(x1v, x2v)
+        denominator = g1 + g2
+        if abs(denominator) <= GRADIENT_TOL * max(scale1, scale2):
             skipped += 1
             continue
+        x, y = g2 / denominator, (x1v * g1 + x2v * g2) / denominator
         value, scale = g.at(x, y)
         residual = abs(value) / (1.0 + scale)
         _require_finite("(x, y, residual)", x, y, residual)

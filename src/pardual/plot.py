@@ -389,9 +389,8 @@ def envelope_scene(curve: ImplicitCurve, sample_count: int, vp: Viewport,
     together the lines envelope the dual curve."""
     _require_sample_count(sample_count, 2)
     _require_spacing(spacing)
-    samples = sample_curve(curve, vp.window(), sample_count)
     segments = []
-    for point in samples.points:
+    for point in sample_curve(curve, vp.window(), sample_count):
         clipped = clip_infinite_line(*point_to_polyline(point, spacing), vp)
         if clipped is not None:
             segments.append(clipped)

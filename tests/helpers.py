@@ -8,8 +8,9 @@ from functools import cache
 
 from hypothesis import strategies as st
 
+from pardual.dualize import ImplicitCurve, dual_curve
 from pardual.elimination import BinaryForm
-from pardual.plot import _column_values
+from pardual.plot import Viewport, _column_values, trace_implicit
 from pardual.polyring import (
     NUM_VARS,
     VAR_NAMES,
@@ -21,6 +22,7 @@ from pardual.polyring import (
     Polynomial,
     exponents,
     monomial,
+    partial_derivative,
     sorted_terms,
     total_degree,
     variables,
@@ -101,6 +103,125 @@ def evaluate_float(p, point):
             term *= float(point[var]) ** exp
         total += term
     return total
+
+
+def gradient(f, point):
+    """(f1, f2), the partials of f in (x1, x2) at point = (x1, x2), by evaluate_float."""
+    at = {X1: point[0], X2: point[1]}
+    return tuple(evaluate_float(partial_derivative(f, var), at) for var in (X1, X2))
+
+
+def point_image(f, point):
+    """The point-image map of a point (x1, x2) on f = 0, the paper's
+    fundamental duality: (x, y) = (f2, x1*f1 + x2*f2) / (f1 + f2), the
+    partials by evaluate_float.  A slope-1 tangent's image is ideal, and
+    the division raises ZeroDivisionError where f1 + f2 is 0.0."""
+    g1, g2 = gradient(f, point)
+    denominator = g1 + g2
+    return g2 / denominator, (point[0] * g1 + point[1] * g2) / denominator
+
+
+def line_dual_point(m, b, d=1.0):
+    """The dual point of the line x2 = m*x1 + b, parallel axes d apart: the
+    polylines of all the line's points pass through it.  A slope-1 line's is
+    ideal, and the division raises ZeroDivisionError."""
+    return d / (1.0 - m), b / (1.0 - m)
+
+
+def _onto_curve(f, point):
+    """point moved onto f = 0 by at most four Newton steps along the
+    gradient, or None where the gradient vanishes or no step falls below
+    1e-9 of the point's size."""
+    for _ in range(4):
+        value = evaluate_float(f, {X1: point[0], X2: point[1]})
+        g1, g2 = gradient(f, point)
+        norm = g1 * g1 + g2 * g2
+        if not norm:
+            return None
+        dx, dy = value * g1 / norm, value * g2 / norm
+        point = (point[0] - dx, point[1] - dy)
+        if abs(dx) + abs(dy) <= 1e-9 * (1.0 + abs(point[0]) + abs(point[1])):
+            return point
+    return None
+
+
+def dual_panel_misfits(f):
+    """(spurious, missed): how the dual panel of the curve f = 0, g traced
+    as plot draws it by default (grid 256 over -3..3), departs from the
+    images of the curve's points under point_image.  The real dual is the
+    image of the curve's smooth real points, so the images lie on it
+    whatever g and the trace do.
+
+    The points come from tracing f at that grid over -3..3 and over
+    -30..30, whose far points reach parts of the window that nearer ones
+    do not (Fig. 9's cusp at (1, 0) is the image of points near
+    x1 = +-25), each vertex moved onto f = 0 by Newton steps.  Along each traced source
+    segment, midpoints are added (and moved onto the curve) until
+    neighbouring images are at most a cell apart, up to 12 halvings,
+    wherever the two images' bounding box meets the window, so each branch
+    of images is a chain of neighbouring cells.  A traced segment is
+    spurious when neither end's cell is within two cells of an image's
+    cell; an image in the window is missed when its cell is more than two
+    cells from every segment end's."""
+    grid = 256
+    vp = Viewport(-3.0, 3.0, -3.0, 3.0)
+    width = (vp.xmax - vp.xmin) / grid
+    height = (vp.ymax - vp.ymin) / grid
+    images = []
+
+    def image(point):
+        if point is None:
+            return None
+        try:
+            value = point_image(f, point)
+        except ZeroDivisionError:
+            return None
+        images.append(value)
+        return value
+
+    def follow(a, image_a, b, image_b, level):
+        if image_a is None or image_b is None or not level:
+            return
+        (ax, ay), (bx, by) = image_a, image_b
+        if abs(ax - bx) <= width and abs(ay - by) <= height:
+            return
+        if (max(ax, bx) < vp.xmin or min(ax, bx) > vp.xmax
+                or max(ay, by) < vp.ymin or min(ay, by) > vp.ymax):
+            return
+        middle = _onto_curve(f, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+        image_middle = image(middle)
+        if middle is not None:
+            follow(a, image_a, middle, image_middle, level - 1)
+            follow(middle, image_middle, b, image_b, level - 1)
+
+    for bound in (3.0, 30.0):
+        vertices = {}
+        for segment in trace_implicit(f, Viewport(-bound, bound, -bound, bound), grid):
+            ends = []
+            for vertex in segment:
+                if vertex not in vertices:
+                    point = _onto_curve(f, vertex)
+                    vertices[vertex] = (point, image(point))
+                ends.append(vertices[vertex])
+            (a, image_a), (b, image_b) = ends
+            if a is not None and b is not None:
+                follow(a, image_a, b, image_b, 12)
+
+    def cell(point):
+        return (math.floor((point[0] - vp.xmin) / width),
+                math.floor((point[1] - vp.ymin) / height))
+
+    def near(cells):
+        return {(i + di, j + dj) for i, j in cells for di in range(-2, 3) for dj in range(-2, 3)}
+
+    segments = trace_implicit(dual_curve(ImplicitCurve(f)).g, vp, grid)
+    image_cells = [cell(point) for point in images
+                   if vp.xmin <= point[0] <= vp.xmax and vp.ymin <= point[1] <= vp.ymax]
+    near_images = near(image_cells)
+    spurious = sum(cell(a) not in near_images and cell(b) not in near_images
+                   for a, b in segments)
+    near_segments = near(cell(end) for segment in segments for end in segment)
+    return spurious, sum(c not in near_segments for c in image_cells)
 
 
 def coefficient_map(p):

@@ -17,7 +17,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import as_binary_form, conic_determinant, evaluate_float, form_polynomial
+from helpers import (
+    as_binary_form,
+    conic_determinant,
+    evaluate_float,
+    form_polynomial,
+    gradient,
+    line_dual_point,
+)
 from pardual.cli import main as cli_main
 from pardual.dualize import (
     ConicMatrix,
@@ -28,7 +35,6 @@ from pardual.dualize import (
     _partial_forms,
     conic_dual_matrix,
     dual_curve,
-    line_dual_point,
     point_to_polyline,
     sample_curve,
     verify_duality,
@@ -182,7 +188,7 @@ def test_criterion_06_degree_bound():
                 if curve is None:
                     continue
                 samples = sample_curve(curve, WINDOW, 40)
-                if any(math.hypot(g1, g2) <= 1e-6 for g1, g2 in samples.gradients):
+                if any(math.hypot(*gradient(curve.f, point)) <= 1e-6 for point in samples):
                     continue
                 start = time.perf_counter()
                 try:
@@ -275,7 +281,7 @@ def test_criterion_09_line_point_duality():
                 p1 = rng.uniform(-5.0, 5.0)
                 (x0, y0), (x1v, y1) = point_to_polyline([p1, m * p1 + b], 1.0)
                 slope = (y1 - y0) / (x1v - x0)
-                assert abs(y0 + slope * (target.x - x0) - target.y) < 1e-9
+                assert abs(y0 + slope * (target[0] - x0) - target[1]) < 1e-9
             done += 1
 
 

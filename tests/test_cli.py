@@ -184,9 +184,9 @@ class TestConicDualCommand:
     def test_coefficients_follow_the_grammar(self, capsys):
         # the parser's literal rule and caps: no exponent notation, at most 4000 digits
         assert run(capsys, "conic-dual", "--", "1e1000000", "1", "-1", "0", "0", "0") == (
-            2, "", "error: unexpected trailing input at offset 2\n")
+            2, "", "error: A1: unexpected trailing input at offset 2\n")
         assert run(capsys, "conic-dual", "9" * 4001, "1", "-1", "0", "0", "0") == (
-            2, "", "error: coefficient overflow (> 10^4000) at offset 1\n")
+            2, "", "error: A1: coefficient overflow (> 10^4000) at offset 1\n")
         code, out, _ = run(capsys, "conic-dual", "--", "2^0", "(1)", "-1", "0", "0", "0")
         assert (code, out.splitlines()[-1]) == (0, "dual: -2*x^2 + y^2 + 2*x - 1")
 
@@ -581,18 +581,27 @@ class TestCommandSurface:
 
     @pytest.mark.parametrize("argv, err", [
         (["conic-dual", "1", "1", "zebra", "0", "0", "0"],
-         "error: unknown variable 'zebra' at offset 1\n"),
-        (["conic-dual", "1", "1", "1/0", "0", "0", "0"], "error: zero denominator at offset 3\n"),
+         "error: A3: unknown variable 'zebra' at offset 1\n"),
+        (["conic-dual", "1", "1", "1/0", "0", "0", "0"],
+         "error: A3: zero denominator at offset 3\n"),
         (["conic-dual", "0", "0", "1", "0", "1", "1"],
          "error: A1, A2, A4 all zero: not a degree-2 curve\n"),
         (["eval", "x1", "--at", "zebra=1"], "error: unknown variable 'zebra'\n"),
-        (["eval", "x1", "--at", "x1=1/0"], "error: zero denominator at offset 3\n"),
+        (["eval", "x1", "--at", "x1=1/0"], "error: --at x1: zero denominator at offset 3\n"),
         (["eval", "x1", "--at", "x1=1, x1=2"], "error: variable 'x1' is bound twice\n"),
         # x3, eta, xi and psi are the paper's notation, not variables
         (["eval", "--at", "x1=1,eta=1", "--", "x1"], "error: unknown variable 'eta'\n"),
         (["eval", "--at", "eta=2,psi=3,x3=1", "--", "eta*psi + x3"],
          "error: unknown variable 'eta' at offset 1\n"),
         (["dual", "--", "x3*x1^2 + x2^2 - 1"], "error: unknown variable 'x3' at offset 1\n"),
+        # a value must be a constant, and its error names the argument it came from
+        (["conic-dual", "1", "1", "x2", "0", "0", "0"],
+         "error: A3: a value must be a constant (found x2)\n"),
+        (["conic-dual", "1", "1", "-1", "0", "0", "x*y - x1"],
+         "error: A6: a value must be a constant (found x1, x, y)\n"),
+        (["eval", "--at", "x1=x2", "--", "x1"],
+         "error: --at x1: a value must be a constant (found x2)\n"),
+        (["eval", "--at", "x1=1,x2=(1", "--", "x1 + x2"], "error: --at x2: expected ')' at offset 3\n"),
     ])
     def test_input_error_line(self, argv, err, capsys):
         assert run(capsys, *argv) == (2, "", err)

@@ -13,25 +13,24 @@ from helpers import (
     dense_curves,
     evaluate_float,
     exact_quotient,
+    gradient,
     homogenized,
+    line_dual_point,
     monomials,
+    point_image,
     substitute,
 )
 from modp import image_certificate
 from pardual.dualize import (
     ConicMatrix,
-    CurveSamples,
     DegenerateCurveError,
     DegreeError,
     DualCurve,
-    IdealPointError,
     ImplicitCurve,
     NoSamplesError,
     _partial_forms,
     conic_dual_matrix,
     dual_curve,
-    line_dual_point,
-    point_image_on_dual,
     point_to_polyline,
     sample_curve,
     verify_duality,
@@ -406,69 +405,102 @@ class TestConicDual:
 
 
 class TestPointImage:
+    """The point-image map x = f2 / (f1 + f2), y = (x1*f1 + x2*f2) / (f1 + f2)
+    as verify_duality applies it to each sample: a dual g that vanishes at
+    the expected image, and only there, reads a residual of 0."""
+
+    @staticmethod
+    def report_at(source, points, image):
+        a, b = (Fraction(v) for v in image)
+        g = parse(f"(x - {a})^2 + (y - {b})^2")
+        return verify_duality(curve(source), DualCurve(g, 2, 0), points)
+
     def test_circle_top(self):
-        image = point_image_on_dual(curve(CIRCLE_SOURCE), (0.0, 1.0))
-        assert image == pytest.approx((1.0, 1.0))
+        assert point_image(parse(CIRCLE_SOURCE), (0.0, 1.0)) == (1.0, 1.0)
+        assert self.report_at(CIRCLE_SOURCE, ((0.0, 1.0),), (1.0, 1.0)) == (0.0, 1, 0)
+        assert self.report_at(CIRCLE_SOURCE, ((0.0, 1.0),), (0.0, 1.0)).max_residual > 0.1
 
     def test_circle_right(self):
-        image = point_image_on_dual(curve(CIRCLE_SOURCE), (1.0, 0.0))
-        assert image == pytest.approx((0.0, 1.0))
+        assert point_image(parse(CIRCLE_SOURCE), (1.0, 0.0)) == (0.0, 1.0)
+        assert self.report_at(CIRCLE_SOURCE, ((1.0, 0.0),), (0.0, 1.0)) == (0.0, 1, 0)
+        assert self.report_at(CIRCLE_SOURCE, ((1.0, 0.0),), (1.0, 1.0)).max_residual > 0.1
 
     def test_images_land_on_dual(self):
+        # the reference images zero g to float accuracy, and so do verify_duality's
         c = curve(FIG9_SOURCE)
         g = parse(FIG9_DUAL)
-        for t in (0.5, 1.0, 1.7, -2.0, 3.0):
-            image = point_image_on_dual(c, (t, 1.0 / t ** 2))
-            assert abs(evaluate_float(g, {X: image.x, Y: image.y})) < 1e-9
+        points = tuple((t, 1.0 / t ** 2) for t in (0.5, 1.0, 1.7, -2.0, 3.0))
+        for point in points:
+            x, y = point_image(c.f, point)
+            assert abs(evaluate_float(g, {X: x, Y: y})) < 1e-9
+        report = verify_duality(c, DualCurve(g, 3, FIG9_PSI_POWER), points)
+        assert (report.tested, report.skipped) == (5, 0)
+        assert report.max_residual < 1e-12
 
     def test_off_curve_rejected(self):
+        c = curve(CIRCLE_SOURCE)
         with pytest.raises(ValueError, match="not on the curve"):
-            point_image_on_dual(curve(CIRCLE_SOURCE), (0.5, 0.5))
+            verify_duality(c, dual_curve(c), ((0.0, 1.0), (0.5, 0.5)))
 
     def test_nan_point_not_on_curve(self):
+        c = curve(CIRCLE_SOURCE)
         with pytest.raises(ValueError, match="not on the curve"):
-            point_image_on_dual(curve(CIRCLE_SOURCE), (math.nan, 0.0))
+            verify_duality(c, dual_curve(c), ((math.nan, 0.0),))
 
     def test_slope_one_tangent_is_ideal(self):
+        # the tangent at (-s, s) has slope 1: f1 + f2 = 0, so its image is an
+        # ideal point, counted as skipped, and the other sample is tested
         s = math.sqrt(0.5)
-        with pytest.raises(IdealPointError):
-            point_image_on_dual(curve(CIRCLE_SOURCE), (-s, s))
+        c = curve(CIRCLE_SOURCE)
+        report = verify_duality(c, dual_curve(c), ((-s, s), (0.0, 1.0)))
+        assert (report.tested, report.skipped) == (1, 1)
+        with pytest.raises(NoSamplesError):
+            verify_duality(c, dual_curve(c), ((-s, s),))
+        # one rounding off it f1 + f2 is 2^-52, not 0: the test is relative
+        # to the partials' terms, so that point is skipped too
+        report = verify_duality(c, dual_curve(c), ((-s, math.nextafter(s, 1.0)), (0.0, 1.0)))
+        assert (report.tested, report.skipped) == (1, 1)
 
     def test_node_is_ideal(self):
         # every term of both partials vanishes at the node, so the relative
-        # slope-1 test refuses it (0 <= GRADIENT_TOL * 0) instead of dividing
-        with pytest.raises(IdealPointError):
-            point_image_on_dual(curve("x1^2 - x2^2"), (0.0, 0.0))
+        # slope-1 test skips it (0 <= GRADIENT_TOL * 0) instead of dividing;
+        # (1, -1) on the other line maps to (1/2, 0)
+        report = self.report_at("x1^2 - x2^2", ((0.0, 0.0), (1.0, -1.0)), (0.5, 0.0))
+        assert report == (0.0, 1, 1)
 
 
 class TestLineDualPoint:
+    """The polylines of a line's points all pass through the line's dual
+    point, (d, b) / (1 - m) for x2 = m*x1 + b with the axes d apart
+    (helpers.line_dual_point)."""
+
+    @staticmethod
+    def assert_concurrent(m, b, d, expected):
+        target = line_dual_point(m, b, d)
+        assert target == pytest.approx(expected)
+        for p1 in (-2.0, 0.3, 1.8):
+            (x0, y0), (x1v, y1) = point_to_polyline([p1, m * p1 + b], d)
+            slope = (y1 - y0) / (x1v - x0)
+            assert abs(y0 + slope * (target[0] - x0) - target[1]) < 1e-12
+
     def test_horizontal(self):
-        assert line_dual_point(0.0, 1.0, 1.0) == pytest.approx((1.0, 1.0))
+        self.assert_concurrent(0.0, 1.0, 1.0, (1.0, 1.0))
 
     def test_diagonal(self):
-        assert line_dual_point(-1.0, 0.0, 1.0) == pytest.approx((0.5, 0.0))
+        self.assert_concurrent(-1.0, 0.0, 1.0, (0.5, 0.0))
 
     def test_spacing(self):
-        assert line_dual_point(0.0, 2.0, 3.0) == pytest.approx((3.0, 2.0))
+        self.assert_concurrent(0.0, 2.0, 3.0, (3.0, 2.0))
 
     def test_slope_one_rejected(self):
-        with pytest.raises(IdealPointError):
+        # a slope-1 line's polylines are parallel: its dual point is ideal
+        with pytest.raises(ZeroDivisionError):
             line_dual_point(1.0, 0.0)
-
-    def test_bad_spacing(self):
-        for d in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                line_dual_point(0.5, 1.0, d)
+        polylines = [point_to_polyline([p1, p1 + 0.5], 2.0) for p1 in (-2.0, 0.25, 1.75)]
+        assert {(y1 - y0) / (x1v - x0) for (x0, y0), (x1v, y1) in polylines} == {0.25}
 
     def test_concurrency_with_point_duals(self):
-        m, b, d = -0.75, 2.0, 1.0
-        target = line_dual_point(m, b, d)
-        for p1 in (-2.0, 0.3, 1.8):
-            polyline = point_to_polyline([p1, m * p1 + b], d)
-            (x0, y0), (x1v, y1) = polyline
-            slope = (y1 - y0) / (x1v - x0)
-            extended = y0 + slope * (target.x - x0)
-            assert abs(extended - target.y) < 1e-12
+        self.assert_concurrent(-0.75, 2.0, 1.0, (1.0 / 1.75, 2.0 / 1.75))
 
 
 class TestPointToPolyline:
@@ -483,35 +515,31 @@ class TestPointToPolyline:
             point_to_polyline([1], 1.0)
 
     def test_bad_spacing(self):
-        for d in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
+        for d in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="spacing"):
                 point_to_polyline([1, 2], d)
 
 
 class TestSampleCurve:
     def test_circle_count_and_residual(self):
+        # a tuple of (x1, x2) points on the curve, each with a gradient that is not 0
         c = curve(CIRCLE_SOURCE)
         samples = sample_curve(c, (-2.0, 2.0, -2.0, 2.0), 8)
-        assert len(samples.points) == 8
-        for x1v, x2v in samples.points:
+        assert type(samples) is tuple and len(samples) == 8
+        for x1v, x2v in samples:
             assert abs(evaluate_float(c.f, {X1: x1v, X2: x2v})) <= 1e-10
-
-    def test_gradients_recorded(self):
-        samples = sample_curve(curve(CIRCLE_SOURCE), (-2.0, 2.0, -2.0, 2.0), 8)
-        for (x1v, x2v), (g1, g2) in zip(samples.points, samples.gradients):
-            assert g1 == pytest.approx(2 * x1v) and g2 == pytest.approx(2 * x2v)
-            assert math.hypot(g1, g2) >= 1e-9
+            assert math.hypot(*gradient(c.f, (x1v, x2v))) >= 1e-9
 
     def test_singular_origin_excluded(self):
-        samples = sample_curve(curve(FIG8_SOURCE), WINDOW, 100)
-        assert len(samples.points) > 0
-        for g1, g2 in samples.gradients:
-            assert math.hypot(g1, g2) >= 1e-9
-        assert (0.0, 0.0) not in samples.points
+        c = curve(FIG8_SOURCE)
+        samples = sample_curve(c, WINDOW, 100)
+        assert len(samples) > 0
+        for point in samples:
+            assert math.hypot(*gradient(c.f, point)) >= 1e-9
+        assert (0.0, 0.0) not in samples
 
     def test_empty_locus(self):
-        samples = sample_curve(curve("x1^2 + x2^2 + 1"), WINDOW, 10)
-        assert len(samples.points) == 0
+        assert sample_curve(curve("x1^2 + x2^2 + 1"), WINDOW, 10) == ()
 
     def test_deterministic(self):
         a = sample_curve(curve(SEC32_SOURCE), WINDOW, 50)
@@ -557,12 +585,12 @@ class TestVerifyDuality:
         c = curve(CIRCLE_SOURCE)
         samples = sample_curve(c, WINDOW, 200)
         report = verify_duality(c, dual_curve(c), samples)
-        assert report.tested + report.skipped == len(samples.points)
+        assert report.tested + report.skipped == len(samples)
 
     def test_nonfinite_residual_raises(self):
         # the parabola point (0.505, 0.505^2) maps to (-100, 25.5), where the
         # term x^100*y^100 overflows to inf: the NaN residual must not pass as 0
-        samples = CurveSamples(((0.505, 0.505 ** 2),), ((1.01, -1.0),))
+        samples = ((0.505, 0.505 ** 2),)
         dual = DualCurve(Polynomial.variable(X) ** 100 * Polynomial.variable(Y) ** 100, 2, 0)
         with pytest.raises(OverflowError, match="residual"):
             verify_duality(curve("x1^2 - x2"), dual, samples)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pardual
-from pardual.dualize import ConicMatrix, CurveSamples, DualCurve, VerifyReport
+from pardual.dualize import ConicMatrix, DualCurve, VerifyReport
 from pardual.elimination import BinaryForm
 from pardual.plot import Viewport
 from pardual.polyparse import parse
@@ -18,11 +18,9 @@ from pardual.polyparse import parse
 # Every exported name and the module that defines it.
 HOMES = {
     "pardual.dualize": [
-        "ConicMatrix", "CurveSamples", "DegenerateCurveError", "DegreeError",
-        "DualCurve", "IdealPointError", "ImplicitCurve", "NoSamplesError",
-        "PlanePoint", "VerifyReport", "conic_dual_matrix", "dual_curve",
-        "line_dual_point", "point_image_on_dual", "point_to_polyline",
-        "sample_curve", "verify_duality",
+        "ConicMatrix", "DegenerateCurveError", "DegreeError", "DualCurve",
+        "ImplicitCurve", "NoSamplesError", "VerifyReport", "conic_dual_matrix",
+        "dual_curve", "point_to_polyline", "sample_curve", "verify_duality",
     ],
     "pardual.polyparse": ["ParseError", "parse", "print_poly"],
     "pardual.polyring": ["Polynomial"],
@@ -61,7 +59,7 @@ def test_dir_lists_exports():
 
 RECORDS = [
     (DualCurve(parse("x^2 - y"), 2, 2), "g"),
-    (CurveSamples(((0.0, 1.0),), ((0.0, 2.0),)), "points"),
+    (Viewport(-1.0, 1.0, -2.0, 2.0, 100, 50), "width_px"),
     (VerifyReport(0.0, 1, 0), "tested"),
     (ConicMatrix.of(1, 1, -1, 0, 0, 0), "a1"),
     (BinaryForm(1, ({(1, 0): 1}, {(0, 1): 1})), "degree"),
@@ -91,22 +89,6 @@ def test_record_constructors_and_defaults():
     assert Viewport(-1.0, 1.0, -2.0, 2.0, 100, 50).window() == (-1.0, 1.0, -2.0, 2.0)
     form = BinaryForm(degree=1, coeffs=({(1, 0): 1}, {(0, 1): 1}))
     assert form.coeffs[1] == {(0, 1): 1}
-    samples = CurveSamples(points=((0.0, 1.0), (1.0, 0.0)), gradients=((0.0, 2.0), (2.0, 0.0)))
-    assert len(samples.points) == 2
-    assert not CurveSamples((), ()).points
-
-
-@pytest.mark.parametrize("count", [0, 1, 2, 3])
-def test_curve_samples_make_and_replace(count):
-    # a plain record of two fields, for any number of points
-    samples = CurveSamples(((0.0, 1.0),) * count, ((0.0, 2.0),) * count)
-    assert CurveSamples._make(samples) == samples
-    emptied = samples._replace(points=())
-    assert type(emptied) is CurveSamples
-    assert emptied == ((), samples.gradients)
-    assert len(emptied.points) == 0 and not emptied.points
-    with pytest.raises(TypeError):
-        CurveSamples._make([()])
 
 
 def test_runtime_imports_only_the_standard_library():

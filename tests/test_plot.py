@@ -5,12 +5,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import cellwise_trace, evaluate_float, nonzero_polynomials, polynomials
+from helpers import (
+    cellwise_trace,
+    dual_panel_misfits,
+    evaluate_float,
+    gradient,
+    line_dual_point,
+    nonzero_polynomials,
+    polynomials,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pardual import plot
-from pardual.dualize import ImplicitCurve, dual_curve, line_dual_point, sample_curve
+from pardual.dualize import ImplicitCurve, dual_curve, sample_curve
 from pardual.plot import (
     MAX_GRID,
     PlaneScene,
@@ -608,8 +616,8 @@ class TestEnvelopeScene:
         vp = Viewport(-3.0, 3.0, -3.0, 3.0)
         dual = dual_curve(curve)
         traced = trace_implicit(dual.g, vp, grid)
-        samples = sample_curve(curve, vp.window(), 10)
-        for (x1v, x2v), (g1, g2) in zip(samples.points, samples.gradients):
+        for x1v, x2v in sample_curve(curve, vp.window(), 10):
+            g1, g2 = gradient(curve.f, (x1v, x2v))
             if abs(g2) < 1e-9:
                 continue
             m = -g1 / g2
@@ -618,12 +626,40 @@ class TestEnvelopeScene:
             b = x2v - m * x1v
             target = line_dual_point(m, b, 1.0)
             # the envelope line through (0, x1) and (1, x2) passes through it
-            line_y = x1v + (x2v - x1v) * target.x
-            assert abs(line_y - target.y) < 1e-9
-            if not (vp.xmin <= target.x <= vp.xmax and vp.ymin <= target.y <= vp.ymax):
+            line_y = x1v + (x2v - x1v) * target[0]
+            assert abs(line_y - target[1]) < 1e-9
+            if not (vp.xmin <= target[0] <= vp.xmax and vp.ymin <= target[1] <= vp.ymax):
                 continue
             best = min(_point_segment_distance(target, seg) for seg in traced)
             assert best < 2.0 / grid * (vp.xmax - vp.xmin)
+
+
+class TestDualPanelOracle:
+    """The dual panel as plot draws it (g traced at grid 256 over -3..3)
+    against the images of the source's points (helpers.dual_panel_misfits):
+    (spurious segments, missed images)."""
+
+    # bench/workloads.py's dense_curve(random.Random(1), 4), CI's pinned quartic
+    DENSE_QUARTIC = ("-9*x1^4 + 5*x1^3*x2 - 9*x1^2*x2^2 - 3*x1*x2^3 + 7*x2^4 + 4*x1^3"
+                     " + 7*x1^2*x2 + 4*x1*x2^2 - 6*x2^3 - 6*x1^2 + 7*x1*x2 - x2^2 + 6*x1"
+                     " - 7*x2 - 5")
+
+    @pytest.mark.parametrize("source", ["x1^2 + x2^2 - 1", DENSE_QUARTIC],
+                             ids=["circle", "dense-quartic"])
+    def test_neither_spurious_nor_missed(self, source):
+        assert dual_panel_misfits(parse(source)) == (0, 0)
+
+    def test_sec32_no_spurious_segment(self):
+        # its missed images are not counted: they sit at the cusp tip the grid
+        # cuts off, the image of the real flex (1.9735, -1.244) at (0.3107, 0.9737)
+        spurious, _ = dual_panel_misfits(parse("x1^3 - x1^2 - x2^2 + x2 - 1"))
+        assert spurious == 0
+
+    def test_extraneous_line_is_spurious(self):
+        # Fig. 9's dual carries the factor x^3, and the line x = 0 it draws
+        # is no image of the curve's points
+        spurious, _ = dual_panel_misfits(parse("x1^2*x2 - 1"))
+        assert spurious > 0
 
 
 def _point_segment_distance(point, segment):
