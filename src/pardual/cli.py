@@ -116,13 +116,8 @@ def cmd_dual(args) -> int:
 
 def cmd_conic_dual(args) -> int:
     values = [_constant(f"A{i}", text) for i, text in enumerate(args.coefficients, 1)]
-    from .dualize import ConicMatrix, DegenerateCurveError, conic_dual_matrix
-    source = ConicMatrix.of(*values)
-    if not source.is_degree_two():
-        raise ValueError("A1, A2, A4 all zero: not a degree-2 curve")
-    if source.determinant() == 0:
-        raise DegenerateCurveError("determinant 0: a line pair or double line, no dual conic")
-    dual = conic_dual_matrix(source)
+    from .dualize import ConicMatrix, conic_dual_matrix
+    dual = conic_dual_matrix(ConicMatrix.of(*values))
     for name in ("a1", "a2", "a3", "a4", "a5", "a6"):
         print(f"{name}: {getattr(dual, name)}")
     print(f"dual: {print_poly(dual.polynomial(X, Y))}")

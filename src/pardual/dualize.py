@@ -126,8 +126,10 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
     binary forms whose coefficients are maps of exponent pairs; take
     their resultant R, a Polynomial in (x, y).  R's exponent pairs are
     read once for k, the least exponent of y (psi^k before the image
-    map), the content and the sign of the graded-lex leading term, and
-    g = R / y^k, primitive and positive-leading, is built in one step.
+    map), and g is the primitive part of R / y^k by content_and_primitive:
+    coprime integer coefficients, the graded-lex leading one positive.
+    Dividing by y^k keeps the graded-lex order of the terms, so the leading
+    term of g is that of R.
 
     Applying the image map first is sound: substitution is a ring
     homomorphism, so it commutes with the expansion, with the partial
@@ -149,16 +151,12 @@ def dual_curve(curve: ImplicitCurve) -> DualCurve:
             "degenerate input: resultant vanished identically "
             "(reducible curve or common factor of partials)")
     pairs = [exponents(mono, (X, Y)) for mono in r.terms]
-    coeffs = list(r.terms.values())
     k = min(b for _, b in pairs)
-    # the graded-lex leading term of x^a * y^(b-k): the largest (a + b, a)
-    top, lead = max(zip(pairs, coeffs), key=lambda term: (sum(term[0]), term[0]))
-    if sum(top) == k:
+    _, g = content_and_primitive(Polynomial({_image_monomial(a, b - k): coeff
+                                             for (a, b), coeff in zip(pairs, r.terms.values())}))
+    if total_degree(g) == 0:
         raise DegenerateCurveError(
             "the dual collapsed to a constant (reducible or degenerate input)")
-    content = math.gcd(*coeffs) if lead > 0 else -math.gcd(*coeffs)
-    g = Polynomial({_image_monomial(a, b - k): coeff // content
-                    for (a, b), coeff in zip(pairs, coeffs)})
     return DualCurve(g=g, source_degree=curve.n, psi_power_removed=k)
 
 
@@ -214,8 +212,9 @@ class ConicMatrix(NamedTuple):
     """Symmetric matrix (a1 a4 a5; a4 a2 a6; a5 a6 a3) of a conic
     a1*u^2 + 2*a4*u*v + 2*a5*u + a2*v^2 + 2*a6*v + a3.
 
-    A source conic must have one of a1, a2, a4 nonzero (genuine degree 2);
-    dual matrices produced by conic_dual_matrix are not constrained.
+    conic_dual_matrix takes a source conic with one of a1, a2, a4 nonzero
+    (genuine degree 2) and a nonzero determinant; the dual matrices it
+    returns are not constrained.
     """
 
     a1: Fraction
@@ -247,7 +246,13 @@ class ConicMatrix(NamedTuple):
 
 
 def conic_dual_matrix(source: ConicMatrix) -> ConicMatrix:
-    """Closed-form dual conic; agrees with dual_curve up to a scalar."""
+    """Closed-form dual conic; agrees with dual_curve up to a scalar.  A
+    source with a1, a2, a4 all zero raises ValueError, and a line pair or a
+    double line (determinant 0) DegenerateCurveError."""
+    if not source.is_degree_two():
+        raise ValueError("A1, A2, A4 all zero: not a degree-2 curve")
+    if source.determinant() == 0:
+        raise DegenerateCurveError("determinant 0: a line pair or double line, no dual conic")
     a1, a2, a3 = source.a1, source.a2, source.a3
     a4, a5, a6 = source.a4, source.a5, source.a6
     return ConicMatrix(
@@ -262,8 +267,7 @@ def conic_dual_matrix(source: ConicMatrix) -> ConicMatrix:
 
 def _float_forms(f: Polynomial) -> tuple[FloatForm, FloatForm, FloatForm]:
     """f and its partials f1, f2 compiled for float evaluation in (x1, x2)."""
-    return tuple(FloatForm(p, X1, X2)
-                 for p in (f, partial_derivative(f, X1), partial_derivative(f, X2)))
+    return tuple(map(FloatForm, (f, partial_derivative(f, X1), partial_derivative(f, X2))))
 
 
 def _require_degree(curve: ImplicitCurve) -> None:
@@ -430,7 +434,7 @@ def verify_duality(curve: ImplicitCurve, dual: DualCurve,
     is not finite raises OverflowError.  f, its partials and g compile once.
     """
     f, f1, f2 = _float_forms(curve.f)
-    g = FloatForm(dual.g, X, Y)
+    g = FloatForm(dual.g)
     tested = 0
     skipped = 0
     worst = 0.0

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple
 
 from .dualize import (ImplicitCurve, _require_sample_count, _require_spacing, _require_window,
                       point_to_polyline, sample_curve)
-from .polyring import DEFAULT_SPACING, X, X1, X2, Y, FloatForm, Polynomial, variables
+from .polyring import DEFAULT_SPACING, FloatForm, Polynomial
 
 Point = tuple[float, float]
 Segment = tuple[Point, Point]
@@ -97,15 +97,6 @@ class PlaneScene:
                 if not (math.isfinite(px + dx) and math.isfinite(py)):
                     raise ValueError("scene coordinates must be finite")
         self.layers.append(_Layer(list(segments), style, dx))
-
-
-def _axes_pair(p: Polynomial) -> tuple[int, int]:
-    used = variables(p)
-    if used and used <= {X1, X2}:
-        return X1, X2
-    if used and used <= {X, Y}:
-        return X, Y
-    raise ValueError("polynomial must depend on the (x1, x2) or (x, y) pair")
 
 
 def _column_values(c0: float, coeffs: list[float], ys: list[float],
@@ -202,7 +193,10 @@ def _column_sign(c0: float, coeffs: list[float],
 def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     """March a grid x grid cell mesh over the viewport and return the
     zero-set segments of p (empty when the curve misses the window); grid
-    runs from 16 to MAX_GRID.
+    runs from 16 to MAX_GRID.  p's pair of variables, (x1, x2) or (x, y),
+    is the one its FloatForm reads: the first is drawn along x and the
+    second along y.  A p that names no variable, or mixes the two pairs,
+    raises ValueError.
 
     p is compiled once; the y**b powers are taken once per grid row, and
     each grid column x = xv takes p's coefficients in y, form.line(ax, xv),
@@ -278,8 +272,10 @@ def trace_implicit(p: Polynomial, vp: Viewport, grid: int) -> list[Segment]:
     """
     if not 16 <= grid <= MAX_GRID:
         raise ValueError(f"grid must be from 16 to {MAX_GRID} (got {grid})")
-    ax, ay = _axes_pair(p)
-    form = FloatForm(p, ax, ay)
+    form = FloatForm(p)
+    if not form.degree:
+        raise ValueError("polynomial must depend on the (x1, x2) or (x, y) pair")
+    ax = form.axes[0]
     xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]
     ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
     y_degree = max((b for _, _, b in form.terms), default=0)

@@ -16,8 +16,9 @@ every dual) costs no Fraction object per term.  Values are immutable and
 every operation is a pure function, so everything here is safe to share
 across threads.  No float ever enters the arithmetic; the one float view
 is FloatForm, a polynomial compiled once into one tuple of float terms in
-a pair of variables, read a point at a time (its value and its scale in
-one pass) or a line at a time (its coefficients in the other variable).
+the pair of variables it uses, read a point at a time (its value and its
+scale in one pass) or a line at a time (its coefficients in the other
+variable).
 """
 
 from __future__ import annotations
@@ -246,18 +247,21 @@ def evaluate_exact(p: Polynomial, point: Mapping[VarId, Fraction | int]) -> Frac
 
 
 class FloatForm:
-    """p compiled for repeated float evaluation in the axis pair ax < ay.
+    """p compiled for repeated float evaluation in the pair of variables it
+    uses.
 
-    The terms are held once, in canonical order, as (float(coeff), exp_ax,
-    exp_ay).  at(x, y) reads a point in one pass: p's value with the float
-    operations of a one-off evaluation of p, in the same order (term = c,
-    then *= x**a, then *= y**b, summed from 0.0), and the scale of every
-    relative test of a point, |c| * |x|**a * |y|**b maxed from 0.0.  The
-    tests keep that one-off evaluation (evaluate_float in tests/helpers.py)
-    as the reference that each value must equal bit for bit.  A factor
-    v**0 is 1.0 and multiplying by it is exact, so terms need no branch on
-    a zero exponent.  No Horner scheme: it rounds differently and can flip
-    the sign of a value near zero.
+    axes is (x1, x2) when p names no variable outside it, a constant
+    included, and (x, y) otherwise; a p that mixes the two pairs raises
+    ValueError.  The terms are held once, in canonical order, as
+    (float(coeff), exp_ax, exp_ay).  at(x, y) reads a point in one pass:
+    p's value with the float operations of a one-off evaluation of p, in
+    the same order (term = c, then *= x**a, then *= y**b, summed from
+    0.0), and the scale of every relative test of a point, |c| * |x|**a *
+    |y|**b maxed from 0.0.  The tests keep that one-off evaluation
+    (evaluate_float in tests/helpers.py) as the reference that each value
+    must equal bit for bit.  A factor v**0 is 1.0 and multiplying by it is
+    exact, so terms need no branch on a zero exponent.  No Horner scheme:
+    it rounds differently and can flip the sign of a value near zero.
 
     line(var, value) groups the terms by their exponent of the other axis,
     so a value built from it rounds differently from at; such a value is
@@ -267,13 +271,11 @@ class FloatForm:
 
     __slots__ = ("axes", "degree", "terms")
 
-    def __init__(self, p: Polynomial, ax: VarId, ay: VarId):
-        if not ax < ay:
-            raise ValueError("the axis pair must be in registry order")
-        stray = variables(p) - {ax, ay}
-        if stray:
-            raise ValueError(f"variable {VAR_NAMES[min(stray)]} is unbound")
-        self.axes = (ax, ay)
+    def __init__(self, p: Polynomial):
+        used = variables(p)
+        self.axes = (X1, X2) if used <= {X1, X2} else (X, Y)
+        if not used <= set(self.axes):
+            raise ValueError("polynomial mixes the (x1, x2) and (x, y) pairs")
         self.terms = tuple((float(coeff), *exponents(mono, self.axes))
                            for mono, coeff in sorted_terms(p))
         self.degree = max((a + b for _, a, b in self.terms), default=0)

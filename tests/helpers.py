@@ -382,14 +382,15 @@ def conic_determinant(m):
 
 # -- marching squares, one cell at a time -------------------------------------
 
-def cellwise_trace(p, ax, ay, vp, grid):
+def cellwise_trace(p, vp, grid):
     """plot.trace_implicit as it was before crossings were shared between
     cells, kept as its reference for that sharing: the same columns, from
     plot._column_values on every grid column, and the same sign masks, but
     every marched cell interpolates each of its crossed edges itself, and
     a column's finiteness is checked through its sum.  The column values
     are checked on their own against grouped_column in tests/test_plot.py."""
-    form = FloatForm(p, ax, ay)
+    form = FloatForm(p)
+    ax = form.axes[0]
     xs = [vp.xmin + i * (vp.xmax - vp.xmin) / grid for i in range(grid + 1)]
     ys = [vp.ymin + j * (vp.ymax - vp.ymin) / grid for j in range(grid + 1)]
     y_powers = [[yv ** b for yv in ys] for b in range(1, form.degree + 1)]

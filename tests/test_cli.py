@@ -269,7 +269,7 @@ class TestPlotCommands:
         panel = Viewport(-3.0, 3.0, -3.0, 3.0)
         segments = trace_implicit(g, panel, 64)
         assert segments
-        scale_form = FloatForm(g, X, Y)
+        scale_form = FloatForm(g)
         for segment in segments:
             for px, py in segment:
                 scale = 1.0 + scale_form.at(px, py)[1]

@@ -265,9 +265,10 @@ def reference_dual(f):
 
 
 class TestPsiStrip:
-    """dual_curve reads the resultant's exponent pairs once for the y power,
-    the content and the leading sign; its g and psi power equal the
-    Polynomial route's (reference_dual)."""
+    """dual_curve reads the resultant's exponent pairs once for the y power
+    and normalizes the quotient with content_and_primitive; its g and psi
+    power equal the Polynomial route's (reference_dual), and g is its own
+    primitive part."""
 
     def check(self, f):
         expected = reference_dual(f)
@@ -291,6 +292,20 @@ class TestPsiStrip:
     def test_fig8_strips_psi_to_the_eighth(self):
         assert reference_dual(parse(FIG8_SOURCE))[1] == FIG8_PSI_POWER == 8
         assert dual_curve(curve(FIG8_SOURCE)).psi_power_removed == 8
+
+    @settings(max_examples=30, deadline=None)
+    @given(dense_curves())
+    def test_dense_duals_are_primitive(self, f):
+        try:
+            g = dual_curve(ImplicitCurve(f)).g
+        except DegenerateCurveError:
+            assume(False)
+        assert content_and_primitive(g) == (Fraction(1), g)
+
+    @pytest.mark.parametrize("source", [FIG9_SOURCE, FIG8_SOURCE, SEC32_SOURCE, CIRCLE_SOURCE])
+    def test_paper_duals_are_primitive(self, source):
+        g = dual_curve(curve(source)).g
+        assert content_and_primitive(g) == (Fraction(1), g)
 
 
 XY = Polynomial.variable(X) * Polynomial.variable(Y)
@@ -381,9 +396,16 @@ class TestConicDual:
         assert ConicMatrix.of(1, 0, 0, 0, 0, 0).determinant() == 0
         assert ConicMatrix.of(1, -1, 0, 0, 0, 0).determinant() == 0
 
-    def test_formulas_total_on_degenerate_input(self):
-        conic_dual_matrix(ConicMatrix.of(1, 1, 0, 0, 0, 0))
-        conic_dual_matrix(ConicMatrix.of(1, 0, 0, 0, 0, 0))
+    def test_degenerate_source_refused(self):
+        # conic_dual_matrix applies the conic's two admission rules itself:
+        # the formulas are total, but a line's or a line pair's matrix is no dual
+        with pytest.raises(ValueError, match="A1, A2, A4 all zero") as refused:
+            conic_dual_matrix(ConicMatrix.of(0, 0, 1, 0, 1, 1))
+        assert not isinstance(refused.value, DegenerateCurveError)
+        for source in (ConicMatrix.of(1, 0, 0, 0, 0, 0), ConicMatrix.of(1, -1, 0, 0, 0, 0),
+                       ConicMatrix.of(1, 1, 0, 0, 0, 0)):
+            with pytest.raises(DegenerateCurveError, match="determinant 0"):
+                conic_dual_matrix(source)
 
     def test_source_polynomial_shape(self):
         m = ConicMatrix.of(1, 2, 3, 4, 5, 6)

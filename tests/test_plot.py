@@ -241,7 +241,7 @@ class TestTraceImplicit:
             p = Polynomial({mono: coeff for mono, coeff in sorted_terms(p)
                             if exponents(mono, (ay,)) != (0,)})
         vp = Viewport(-2.9, 3.1, -3.1, 2.9)
-        form = FloatForm(p, ax, ay)
+        form = FloatForm(p)
         lines = [form.line(ax, xv) for xv in grid_nodes(vp.xmin, vp.xmax, 64)]
         assert max(sum(map(bool, line[1:])) for line in lines) == powers
         assert any(line[0] for line in lines) == with_y0
@@ -269,7 +269,7 @@ class TestTraceImplicit:
         ax, ay = axes
         grid = 64
         xs, ys = grid_nodes(vp.xmin, vp.xmax, grid), grid_nodes(vp.ymin, vp.ymax, grid)
-        form = FloatForm(p, ax, ay)
+        form = FloatForm(p)
         terms = axis_terms(p, ax, ay)
         bound = Fraction(len(terms) * (len(terms) + form.degree + 8), 2 ** 53)
         y_powers = [[Fraction(yv) ** b for b in range(form.degree + 1)] for yv in ys]
@@ -301,7 +301,7 @@ class TestTraceImplicit:
         # nodes may miss by a rounding) ends exactly two segments.
         p, axes, vp, grid = case
         segments = trace_implicit(p, vp, grid)
-        assert segments == cellwise_trace(p, *axes, vp, grid)
+        assert segments == cellwise_trace(p, vp, grid)
         xs, ys = grid_nodes(vp.xmin, vp.xmax, grid), grid_nodes(vp.ymin, vp.ymax, grid)
         uses = Counter(id(point) for segment in segments for point in segment)
         for segment in segments:
@@ -387,8 +387,14 @@ class TestTraceImplicit:
         assert segments
 
     def test_mixed_variables_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mixes the"):
             trace_implicit(parse("x1 + y"), VIEW2, 32)
+
+    @pytest.mark.parametrize("p", [Polynomial(), Polynomial.constant(-2)])
+    def test_constant_rejected(self, p):
+        # FloatForm takes a constant in (x1, x2); trace_implicit has no curve to draw
+        with pytest.raises(ValueError, match="must depend on the"):
+            trace_implicit(p, VIEW2, 32)
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -442,11 +442,13 @@ class TestFloatForm:
     reproduce the float evaluations they replaced bit for bit (signs of
     zero included): a rounding difference can flip a near-zero sign in
     sampling and move a sample.  The plot's column rule built on line is
-    checked against exact values in tests/test_plot.py."""
+    checked against exact values in tests/test_plot.py.  FloatForm reads
+    its pair from p: the one p was drawn over, or (x1, x2) for a constant."""
 
     def check(self, p, axes, points):
-        ax, ay = axes
-        form = FloatForm(p, ax, ay)
+        form = FloatForm(p)
+        assert form.axes == (axes if variables(p) else (X1, X2))
+        ax, ay = form.axes
         for x, y in points:
             value, scale = form.at(x, y)
             assert bits([value]) == bits([evaluate_float(p, {ax: x, ay: y})])
@@ -466,22 +468,36 @@ class TestFloatForm:
     def test_duals_of_dense_cubics(self, g, points):
         self.check(g, (X, Y), points)
 
+    @pytest.mark.parametrize("text, axes", [("x2^3 - 2*x2 + 1/3", (X1, X2)),
+                                            ("y^2 - 3*y", (X, Y))])
+    def test_one_variable_takes_its_pair(self, text, axes):
+        # a polynomial in x2 alone is still read in (x1, x2), one in y alone in (x, y)
+        self.check(parse(text), axes, [(0.0, -0.0), (1.5, -2.0), (-3.0, 0.5)])
+
+    def test_constant(self):
+        # a constant names no variable and takes (x1, x2); line runs along either axis
+        form = FloatForm(Polynomial.constant(Fraction(5, 2)))
+        assert form.axes == (X1, X2) and form.terms == ((2.5, 0, 0),) and form.degree == 0
+        assert form.at(1.5, -2.0) == (2.5, 2.5)
+        assert form.line(X1, 7.0) == form.line(X2, -7.0) == [2.5]
+        with pytest.raises(ValueError, match="not an axis"):
+            form.line(X, 7.0)
+
     def test_zero_polynomial(self):
-        form = FloatForm(Polynomial(), X1, X2)
-        assert form.at(1.5, -2.0) == (0.0, 0.0) and form.line(X1, 1.5) == [0.0]
+        form = FloatForm(Polynomial())
+        assert form.axes == (X1, X2) and form.terms == ()
+        assert form.at(1.5, -2.0) == (0.0, 0.0)
+        assert form.line(X1, 1.5) == form.line(X2, 1.5) == [0.0]
 
     def test_line_takes_only_the_powers_its_terms_use(self):
         # x*y^5 has x to the power 1 only: a table of x**a for every a up to
         # the total degree 6 would take 1e100**6, which overflows
-        form = FloatForm(parse("x*y^5"), X, Y)
+        form = FloatForm(parse("x*y^5"))
         assert form.line(X, 1e100) == [0.0] * 5 + [1e100, 0.0]
         with pytest.raises(OverflowError):
             form.line(Y, 1e100)  # 1e100**5 is taken, and overflows
 
-    def test_foreign_variable_rejected(self):
-        with pytest.raises(ValueError):
-            FloatForm(parse("x1 + y"), X1, X2)
-
-    def test_axes_in_registry_order(self):
-        with pytest.raises(ValueError):
-            FloatForm(parse("x1 + x2"), X2, X1)
+    def test_mixed_pair_rejected(self):
+        for text in ("x1 + y", "x2*x - 1"):
+            with pytest.raises(ValueError, match="mixes the"):
+                FloatForm(parse(text))
